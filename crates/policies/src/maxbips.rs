@@ -20,8 +20,10 @@ use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::{Error, Result};
+use fastcap_core::model::CapModel;
 use fastcap_core::optimizer::evaluate_point;
-use fastcap_core::units::Watts;
+use fastcap_core::units::{Secs, Watts};
+use std::cmp::Ordering;
 
 /// The MaxBIPS baseline.
 #[derive(Debug, Clone)]
@@ -31,6 +33,7 @@ pub struct MaxBipsPolicy {
     /// with the beam variant so the two can be pinned against each other).
     last_total_bips: f64,
     search_cost: CostCounter,
+    tables: GridTables,
 }
 
 /// Cap on `F^N · M` grid size (keeps per-epoch latency finite; the paper
@@ -69,34 +72,77 @@ impl MaxBipsPolicy {
             controller: FastCapController::new(cfg)?,
             last_total_bips: 0.0,
             search_cost: CostCounter::default(),
+            tables: GridTables::default(),
         })
     }
 }
 
-/// Per-core BIPS contributions at one memory operating point: row `i`,
-/// column `l` is core `i`'s predicted instruction throughput at core
-/// ladder level `l` (shared by the exhaustive and beam searches).
-fn bips_table(
-    model: &fastcap_core::model::CapModel,
-    scales: &[f64],
-    ipm: &[f64],
-    sb: fastcap_core::units::Secs,
-) -> Vec<Vec<f64>> {
-    model
-        .cores
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
+/// Per-(core, level) search tables shared by the exhaustive and beam
+/// searches, each one row-major buffer (core `i`, ladder level `l` at
+/// `i·F + l`) refilled in place on every decide and memory candidate.
+#[derive(Debug, Clone, Default)]
+struct GridTables {
+    /// Core ladder length `F`.
+    levels: usize,
+    /// Ladder scale of each core level.
+    scales: Vec<f64>,
+    /// Instructions per memory access of each core, the BIPS weight.
+    ipm: Vec<f64>,
+    /// Dynamic power of core `i` at level `l`.
+    pcost: Vec<f64>,
+    /// Predicted instruction throughput of core `i` at level `l` at the
+    /// memory point of the last [`GridTables::load_bips`].
+    bips: Vec<f64>,
+}
+
+impl GridTables {
+    /// Loads the memory-independent rows of one decide.
+    fn load(&mut self, model: &CapModel, cfg: &FastCapConfig, obs: &EpochObservation) {
+        self.levels = cfg.core_ladder.len();
+        self.scales.clear();
+        self.scales
+            .extend((0..self.levels).map(|l| cfg.core_ladder.scale(l)));
+        self.ipm.clear();
+        self.ipm
+            .extend(obs.cores.iter().map(|c| c.instructions_per_miss()));
+        self.pcost.clear();
+        for c in &model.cores {
+            self.pcost
+                .extend(self.scales.iter().map(|&s| c.power.dynamic_power(s).get()));
+        }
+    }
+
+    /// Loads the BIPS rows at memory operating point `sb`.
+    fn load_bips(&mut self, model: &CapModel, sb: Secs) {
+        self.bips.clear();
+        for (i, c) in model.cores.iter().enumerate() {
             let r = model.memory.response.response_time(i, sb).get();
-            scales
-                .iter()
-                .map(|&s| {
-                    let turn = c.min_think_time.get() / s + c.cache_time.get() + r;
-                    ipm[i] / turn
-                })
-                .collect()
-        })
-        .collect()
+            let ipm = self.ipm[i];
+            self.bips.extend(self.scales.iter().map(|&s| {
+                let turn = c.min_think_time.get() / s + c.cache_time.get() + r;
+                ipm / turn
+            }));
+        }
+    }
+
+    fn pcost(&self, i: usize) -> &[f64] {
+        &self.pcost[i * self.levels..(i + 1) * self.levels]
+    }
+
+    fn bips(&self, i: usize) -> &[f64] {
+        &self.bips[i * self.levels..(i + 1) * self.levels]
+    }
+
+    /// Exact minimum power of cores `i..` for every `i` (`n + 1` entries,
+    /// the last 0): the feasibility bound for partial assignments.
+    fn min_suffix(&self, n: usize) -> Vec<f64> {
+        let mut min_suffix = vec![0.0f64; n + 1];
+        for i in (0..n).rev() {
+            let row_min = self.pcost(i).iter().cloned().fold(f64::MAX, f64::min);
+            min_suffix[i] = min_suffix[i + 1] + row_min;
+        }
+        min_suffix
+    }
 }
 
 impl CappingPolicy for MaxBipsPolicy {
@@ -110,39 +156,18 @@ impl CappingPolicy for MaxBipsPolicy {
         let cfg = self.controller.config();
         let n = model.n_cores();
         let f_levels = cfg.core_ladder.len();
-        let candidates = self.controller.candidates().to_vec();
-
-        // Instructions per memory access, the per-core BIPS weight.
-        let ipm: Vec<f64> = obs
-            .cores
-            .iter()
-            .map(|c| c.instructions_per_miss())
-            .collect();
-
-        // Precompute per-(candidate, core, level): BIPS contribution; and
-        // per-(core, level): dynamic power.
-        let scales: Vec<f64> = (0..f_levels).map(|l| cfg.core_ladder.scale(l)).collect();
-        let pcost: Vec<Vec<f64>> = model
-            .cores
-            .iter()
-            .map(|c| {
-                scales
-                    .iter()
-                    .map(|&s| c.power.dynamic_power(s).get())
-                    .collect()
-            })
-            .collect();
+        let tables = &mut self.tables;
+        tables.load(&model, cfg, obs);
 
         let mut best: Option<(f64, f64, Watts, Vec<usize>, usize)> = None;
-        for (j, &sb) in candidates.iter().enumerate() {
+        for &sb in self.controller.candidates() {
             let bus_scale = model.memory.min_bus_transfer_time / sb;
             let mem_dyn = model.memory.power.dynamic_power(bus_scale);
             let core_budget = model.budget.get() - model.static_power.get() - mem_dyn.get();
             if core_budget <= 0.0 {
                 continue;
             }
-            // Per-core BIPS table at this memory point.
-            let bips = bips_table(&model, &scales, &ipm, sb);
+            tables.load_bips(&model, sb);
             self.search_cost.grid_points += (n * f_levels) as u64;
 
             // Exhaustive odometer over F^N combinations.
@@ -151,12 +176,12 @@ impl CappingPolicy for MaxBipsPolicy {
                 let mut power = 0.0;
                 let mut total_bips = 0.0;
                 for (i, &l) in combo.iter().enumerate() {
-                    power += pcost[i][l];
-                    total_bips += bips[i][l];
+                    power += tables.pcost(i)[l];
+                    total_bips += tables.bips(i)[l];
                 }
                 self.search_cost.grid_points += n as u64;
                 if power <= core_budget && best.as_ref().is_none_or(|(bb, ..)| total_bips > *bb) {
-                    let scales_now: Vec<f64> = combo.iter().map(|&l| scales[l]).collect();
+                    let scales_now: Vec<f64> = combo.iter().map(|&l| tables.scales[l]).collect();
                     let (d, p) = evaluate_point(&model, &scales_now, sb)?;
                     self.search_cost.grid_points += n as u64;
                     self.search_cost.quantize_ops += 1;
@@ -185,7 +210,6 @@ impl CappingPolicy for MaxBipsPolicy {
                     break;
                 }
             }
-            let _ = j;
         }
 
         Ok(match best {
@@ -233,13 +257,156 @@ impl CappingPolicy for MaxBipsPolicy {
     }
 }
 
-/// One partial assignment in the beam: power and BIPS accumulated over the
-/// first `combo.len()` cores.
-#[derive(Debug, Clone)]
-struct BeamState {
+/// One beam node: a partial assignment of cores `0..=i`, held as its
+/// power and BIPS sums plus a link to its parent in layer `i − 1`. The
+/// per-core levels are rebuilt from the links only when a search result
+/// beats the best so far.
+#[derive(Debug, Clone, Copy)]
+struct Node {
     power: f64,
     bips: f64,
-    combo: Vec<usize>,
+    /// Index of the parent in the previous layer's frontier.
+    parent: usize,
+    /// Core ladder level this node assigns to core `i`.
+    level: usize,
+}
+
+/// The beam's total order: BIPS descending, then power, parent and level
+/// ascending — a stable sort of the parent-major expansion order.
+fn beam_order(a: &Node, b: &Node) -> Ordering {
+    b.bips
+        .total_cmp(&a.bips)
+        .then_with(|| a.power.total_cmp(&b.power))
+        .then_with(|| a.parent.cmp(&b.parent))
+        .then_with(|| a.level.cmp(&b.level))
+}
+
+/// Reusable beam storage: one frontier per core and one expansion run per
+/// ladder level, kept across memory candidates and decides so that a
+/// search allocates nothing per state.
+#[derive(Debug, Clone, Default)]
+struct BeamArena {
+    /// `layers[i]`: the frontier after assigning cores `0..=i`.
+    layers: Vec<Vec<Node>>,
+    /// `runs[l]`: the current layer's feasible expansions at level `l`.
+    runs: Vec<Vec<Node>>,
+    /// Merge cursor into each run.
+    heads: Vec<usize>,
+}
+
+impl BeamArena {
+    /// Runs a width-`width` beam over every core at one memory point and
+    /// returns the top complete node, or `None` when no assignment fits
+    /// `core_budget`. Counts every expansion (`F` per surviving parent, at
+    /// most `W·F` per core) as a grid point in `cost`, merged or not.
+    ///
+    /// The previous frontier is strictly decreasing in both BIPS and power,
+    /// so one level's expansions, taken in parent order, are already in
+    /// beam order except inside rare groups of equal BIPS, which the
+    /// insertion sort flips. Merging the `F` runs then yields the beam
+    /// order of all expansions without sorting them, and the merge stops
+    /// once the frontier holds `width` survivors.
+    fn search(
+        &mut self,
+        tables: &GridTables,
+        min_suffix: &[f64],
+        core_budget: f64,
+        width: usize,
+        cost: &mut CostCounter,
+    ) -> Option<Node> {
+        let n = min_suffix.len() - 1;
+        let f = tables.levels;
+        self.layers.resize_with(n, Vec::new);
+        self.runs.resize_with(f, Vec::new);
+        self.heads.resize(f, 0);
+        let root = [Node {
+            power: 0.0,
+            bips: 0.0,
+            parent: 0,
+            level: 0,
+        }];
+        for i in 0..n {
+            let (done, rest) = self.layers.split_at_mut(i);
+            let prev = done.last().map_or(&root[..], Vec::as_slice);
+            cost.grid_points += (prev.len() * f) as u64;
+            let (pcost, bips) = (tables.pcost(i), tables.bips(i));
+            for (level, run) in self.runs.iter_mut().enumerate() {
+                run.clear();
+                for (parent, s) in prev.iter().enumerate() {
+                    let power = s.power + pcost[level];
+                    // Drop states whose cheapest completion cannot fit.
+                    if power + min_suffix[i + 1] > core_budget {
+                        continue;
+                    }
+                    run.push(Node {
+                        power,
+                        bips: s.bips + bips[level],
+                        parent,
+                        level,
+                    });
+                }
+                insertion_sort(run);
+            }
+            let frontier = &mut rest[0];
+            merge_frontier(&self.runs, &mut self.heads, width, frontier);
+            if frontier.is_empty() {
+                return None;
+            }
+        }
+        self.layers.last().map(|top| top[0])
+    }
+
+    /// Writes the level of every core on the top node's parent path, as
+    /// left by the last successful [`BeamArena::search`], into `combo`.
+    fn rebuild_top(&self, combo: &mut Vec<usize>) {
+        combo.clear();
+        combo.resize(self.layers.len(), 0);
+        let mut idx = 0;
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            combo[i] = layer[idx].level;
+            idx = layer[idx].parent;
+        }
+    }
+}
+
+/// Sorts `run` into beam order; linear on a run that already is in order.
+fn insertion_sort(run: &mut [Node]) {
+    for j in 1..run.len() {
+        let mut k = j;
+        while k > 0 && beam_order(&run[k - 1], &run[k]).is_gt() {
+            run.swap(k - 1, k);
+            k -= 1;
+        }
+    }
+}
+
+/// Merges beam-ordered `runs` into `frontier` with Pareto pruning: a node
+/// survives only if it is strictly cheaper than every node before it in
+/// beam order, and the merge stops at `width` survivors. A run's head that
+/// is no cheaper than the last survivor can never survive, so it is
+/// skipped without a merge comparison.
+fn merge_frontier(runs: &[Vec<Node>], heads: &mut [usize], width: usize, frontier: &mut Vec<Node>) {
+    frontier.clear();
+    heads.fill(0);
+    let mut cheapest = f64::MAX;
+    while frontier.len() < width {
+        let mut pick: Option<(usize, &Node)> = None;
+        for (l, (run, head)) in runs.iter().zip(heads.iter_mut()).enumerate() {
+            while let Some(node) = run.get(*head) {
+                if node.power < cheapest {
+                    if pick.is_none_or(|(_, p)| beam_order(node, p).is_lt()) {
+                        pick = Some((l, node));
+                    }
+                    break;
+                }
+                *head += 1;
+            }
+        }
+        let Some((l, &node)) = pick else { break };
+        heads[l] += 1;
+        cheapest = node.power;
+        frontier.push(node);
+    }
 }
 
 /// Beam-search MaxBIPS: the same objective as [`MaxBipsPolicy`] —
@@ -256,14 +423,18 @@ struct BeamState {
 /// minimum power of the remaining cores) are dropped, the rest are
 /// Pareto-pruned — a state survives only if no state with at least its
 /// BIPS has strictly less power — and the frontier is truncated to the
-/// beam width. The search is deterministic: expansion order, the
-/// total-order float sort, and truncation depend only on the model.
+/// beam width. The search is deterministic: survivors are taken in a
+/// total order (BIPS descending, then power, parent and level ascending)
+/// that depends only on the model, so exact ties between identical cores
+/// always resolve the same way.
 #[derive(Debug, Clone)]
 pub struct MaxBipsBeamPolicy {
     controller: FastCapController,
     width: usize,
     last_total_bips: f64,
     search_cost: CostCounter,
+    tables: GridTables,
+    arena: BeamArena,
 }
 
 impl MaxBipsBeamPolicy {
@@ -294,6 +465,8 @@ impl MaxBipsBeamPolicy {
             width,
             last_total_bips: 0.0,
             search_cost: CostCounter::default(),
+            tables: GridTables::default(),
+            arena: BeamArena::default(),
         })
     }
 }
@@ -309,108 +482,40 @@ impl CappingPolicy for MaxBipsBeamPolicy {
         let cfg = self.controller.config();
         let n = model.n_cores();
         let f_levels = cfg.core_ladder.len();
-        let candidates = self.controller.candidates().to_vec();
+        let tables = &mut self.tables;
+        tables.load(&model, cfg, obs);
+        let min_suffix = tables.min_suffix(n);
 
-        let ipm: Vec<f64> = obs
-            .cores
-            .iter()
-            .map(|c| c.instructions_per_miss())
-            .collect();
-        let scales: Vec<f64> = (0..f_levels).map(|l| cfg.core_ladder.scale(l)).collect();
-        let pcost: Vec<Vec<f64>> = model
-            .cores
-            .iter()
-            .map(|c| {
-                scales
-                    .iter()
-                    .map(|&s| c.power.dynamic_power(s).get())
-                    .collect()
-            })
-            .collect();
-        // Exact minimum power of cores `i..`: the feasibility bound for
-        // partial assignments (a state is kept only if the cheapest
-        // completion still fits the core budget).
-        let mut min_suffix = vec![0.0f64; n + 1];
-        for i in (0..n).rev() {
-            let row_min = pcost[i].iter().cloned().fold(f64::MAX, f64::min);
-            min_suffix[i] = min_suffix[i + 1] + row_min;
-        }
-
-        let mut best: Option<(f64, Vec<usize>, fastcap_core::units::Secs, usize)> = None;
-        for &sb in &candidates {
+        let mut combo = Vec::with_capacity(n);
+        let mut best: Option<(f64, Secs, usize)> = None;
+        for &sb in self.controller.candidates() {
             let bus_scale = model.memory.min_bus_transfer_time / sb;
             let mem_dyn = model.memory.power.dynamic_power(bus_scale);
             let core_budget = model.budget.get() - model.static_power.get() - mem_dyn.get();
             if core_budget <= 0.0 || min_suffix[0] > core_budget {
                 continue;
             }
-            let bips = bips_table(&model, &scales, &ipm, sb);
+            tables.load_bips(&model, sb);
             self.search_cost.grid_points += (n * f_levels) as u64;
-
-            let mut beam = vec![BeamState {
-                power: 0.0,
-                bips: 0.0,
-                combo: Vec::new(),
-            }];
-            for i in 0..n {
-                let mut next = Vec::with_capacity(beam.len() * f_levels);
-                self.search_cost.grid_points += (beam.len() * f_levels) as u64;
-                for s in &beam {
-                    for l in 0..f_levels {
-                        let power = s.power + pcost[i][l];
-                        if power + min_suffix[i + 1] > core_budget {
-                            continue;
-                        }
-                        let mut combo = Vec::with_capacity(n);
-                        combo.extend_from_slice(&s.combo);
-                        combo.push(l);
-                        next.push(BeamState {
-                            power,
-                            bips: s.bips + bips[i][l],
-                            combo,
-                        });
-                    }
-                }
-                // Pareto prune: sorted by BIPS descending (power ascending
-                // among ties), a state survives only if it is strictly
-                // cheaper than everything at least as good before it.
-                next.sort_unstable_by(|a, b| {
-                    b.bips
-                        .total_cmp(&a.bips)
-                        .then_with(|| a.power.total_cmp(&b.power))
-                });
-                let mut frontier: Vec<BeamState> = Vec::with_capacity(self.width);
-                let mut cheapest = f64::MAX;
-                for s in next {
-                    if s.power < cheapest {
-                        cheapest = s.power;
-                        frontier.push(s);
-                        if frontier.len() == self.width {
-                            break;
-                        }
-                    }
-                }
-                beam = frontier;
-                if beam.is_empty() {
-                    break;
-                }
-            }
-            if let Some(top) = beam.first() {
+            let top = self.arena.search(
+                tables,
+                &min_suffix,
+                core_budget,
+                self.width,
+                &mut self.search_cost,
+            );
+            if let Some(top) = top {
                 if best.as_ref().is_none_or(|(b, ..)| top.bips > *b) {
                     self.search_cost.quantize_ops += 1;
-                    best = Some((
-                        top.bips,
-                        top.combo.clone(),
-                        sb,
-                        cfg.mem_ladder.nearest_scale(bus_scale),
-                    ));
+                    self.arena.rebuild_top(&mut combo);
+                    best = Some((top.bips, sb, cfg.mem_ladder.nearest_scale(bus_scale)));
                 }
             }
         }
 
         Ok(match best {
-            Some((bips, combo, sb, mem_freq)) => {
-                let scales_now: Vec<f64> = combo.iter().map(|&l| scales[l]).collect();
+            Some((bips, sb, mem_freq)) => {
+                let scales_now: Vec<f64> = combo.iter().map(|&l| tables.scales[l]).collect();
                 let (d, power) = evaluate_point(&model, &scales_now, sb)?;
                 self.search_cost.grid_points += n as u64;
                 self.last_total_bips = bips;
@@ -683,5 +788,60 @@ mod tests {
             p.decide(&obs).unwrap()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn beam_frontiers_are_strict_pareto_and_completable() {
+        // Every layer keeps at most W survivors, strictly decreasing in both
+        // BIPS and power, and each survivor's cheapest completion still fits
+        // the core budget. The 16-core fixture has identical cores, so its
+        // layers are full of exact (BIPS, power) ties.
+        let cases = [
+            (crate::tests::cfg_16(0.6), crate::tests::obs_16(), 1),
+            (crate::tests::cfg_16(0.5), crate::tests::obs_16(), 4),
+            (crate::tests::cfg_16(0.6), crate::tests::obs_16(), 64),
+            (crate::tests::cfg_16(0.85), crate::tests::obs_16(), 64),
+            (cfg_8(0.55), obs_8(), 4),
+            (cfg_8(0.7), obs_8(), 64),
+        ];
+        for (cfg, obs, width) in cases {
+            let mut controller = FastCapController::new(cfg).unwrap();
+            controller.observe(&obs);
+            let model = controller.build_model(&obs).unwrap();
+            let mut tables = GridTables::default();
+            tables.load(&model, controller.config(), &obs);
+            let min_suffix = tables.min_suffix(model.n_cores());
+            let mut arena = BeamArena::default();
+            let mut searched = 0;
+            for &sb in controller.candidates() {
+                let bus_scale = model.memory.min_bus_transfer_time / sb;
+                let mem_dyn = model.memory.power.dynamic_power(bus_scale);
+                let core_budget = model.budget.get() - model.static_power.get() - mem_dyn.get();
+                tables.load_bips(&model, sb);
+                let mut cost = CostCounter::default();
+                if arena
+                    .search(&tables, &min_suffix, core_budget, width, &mut cost)
+                    .is_none()
+                {
+                    continue;
+                }
+                searched += 1;
+                assert_eq!(arena.layers.len(), model.n_cores());
+                for (i, layer) in arena.layers.iter().enumerate() {
+                    assert!(!layer.is_empty() && layer.len() <= width, "layer {i}");
+                    for pair in layer.windows(2) {
+                        assert!(pair[1].bips < pair[0].bips, "layer {i}: {pair:?}");
+                        assert!(pair[1].power < pair[0].power, "layer {i}: {pair:?}");
+                    }
+                    for node in layer {
+                        assert!(
+                            node.power + min_suffix[i + 1] <= core_budget,
+                            "layer {i}: {node:?} cannot complete within {core_budget}"
+                        );
+                    }
+                }
+            }
+            assert!(searched > 0, "width {width}: no memory point was searched");
+        }
     }
 }

@@ -51,10 +51,12 @@ pub struct ScenarioRunner {
     /// Server-side actions, epoch-sorted (stable within an epoch in
     /// declaration order).
     server_actions: Vec<(u64, ControlAction)>,
-    /// Hotplug policy handling: `false` (default) rebuilds the policy on
-    /// every active-set change; `true` first offers the change to
+    /// Hotplug policy handling: `true` (the default set by
+    /// [`ScenarioRunner::new`]) first offers each active-set change to
     /// [`CappingPolicy::on_active_set_change`] so supporting policies
-    /// warm-carry the surviving cores' fitted models.
+    /// warm-carry the surviving cores' fitted models, and rebuilds only
+    /// the policies that decline; `false` rebuilds the policy on every
+    /// change.
     warm_hotplug: bool,
 }
 
