@@ -7,10 +7,10 @@
 //! 2. **Binary search vs. exhaustive memory scan** (Algorithm 1) — both
 //!    must return the same `D` (convexity), the binary search touching
 //!    fewer candidates.
-//! 3. **Ladder quantization** — the paper's "closest frequency" rounding
-//!    versus conservative floor rounding. Expected: nearest tracks the
-//!    budget tightly with occasional small overshoots; floor never
-//!    overshoots but leaves budget unused.
+//!
+//! Ladder quantization (nearest vs. floor rounding) is decomposed by the
+//! `bias_ablation` artifact instead: the controller already floors at
+//! budget-bound optima (DESIGN.md §13).
 
 use crate::harness::{run_baseline, Opts};
 use crate::sweep::{par_sweep, Sweep};
@@ -19,7 +19,6 @@ use fastcap_core::capper::{DvfsDecision, FastCapController};
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
 use fastcap_core::optimizer::{algorithm1, bus_candidates, exhaustive};
-use fastcap_core::units::Hz;
 use fastcap_sim::Server;
 use fastcap_workloads::mixes;
 
@@ -30,8 +29,6 @@ enum Variant {
     Full,
     /// No online refitting: initial power laws forever.
     FrozenModels,
-    /// Floor quantization instead of nearest.
-    FloorQuantization,
 }
 
 impl Variant {
@@ -39,7 +36,6 @@ impl Variant {
         match self {
             Variant::Full => "FastCap (full)",
             Variant::FrozenModels => "frozen power models",
-            Variant::FloorQuantization => "floor quantization",
         }
     }
 }
@@ -52,37 +48,11 @@ fn decide(ctl: &mut FastCapController, v: Variant, obs: &EpochObservation) -> Op
             let cands = ctl.candidates().to_vec();
             ctl.solve_quantized(obs, &cands).ok()
         }
-        Variant::FloorQuantization => {
-            ctl.observe(obs);
-            let model = ctl.build_model(obs).ok()?;
-            let cands = ctl.candidates().to_vec();
-            let sol = algorithm1(&model, &cands).ok()?;
-            let cfg = ctl.config();
-            let core_freqs = sol
-                .inner
-                .core_scales
-                .iter()
-                .map(|&s| cfg.core_ladder.floor(Hz(cfg.core_ladder.max().get() * s)))
-                .collect();
-            let mem_freq = cfg
-                .mem_ladder
-                .floor(Hz(cfg.mem_ladder.max().get() * sol.bus_scale));
-            Some(DvfsDecision {
-                core_freqs,
-                mem_freq,
-                predicted_power: sol.inner.predicted_power,
-                quantized_power: sol.inner.predicted_power,
-                budget_trim: fastcap_core::units::Watts(0.0),
-                degradation: sol.inner.degradation,
-                budget_bound: sol.inner.budget_bound,
-                emergency: false,
-            })
-        }
     }
 }
 
 /// Runs the experiment. Two sweeps: the closed-loop part is one point
-/// per controller variant plus the uncapped baseline (4 points on a
+/// per controller variant plus the uncapped baseline (3 points on a
 /// **shared** RNG stream, so every variant caps the same MIX3 draw); the
 /// search ablation is one cheap point per core count.
 ///
@@ -96,12 +66,8 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     let ctl_cfg = cfg.controller_config(budget_frac)?;
     let budget = ctl_cfg.budget();
 
-    // --- 1 & 3: closed-loop variants --------------------------------------
-    const VARIANTS: [Variant; 3] = [
-        Variant::Full,
-        Variant::FrozenModels,
-        Variant::FloorQuantization,
-    ];
+    // --- 1: closed-loop variants ------------------------------------------
+    const VARIANTS: [Variant; 2] = [Variant::Full, Variant::FrozenModels];
     let mut sweep = Sweep::new();
     {
         let (cfg, mix) = (&cfg, &mix);

@@ -1,12 +1,12 @@
 //! `scn_hotplug`: re-balance latency when cores appear or vanish
 //! (scenario engine). The default scenario (`scenarios/scn_hotplug.json`)
 //! power-gates cores 0–3 at epoch 14 and brings them back at epoch 28.
-//! The capping policy is rebuilt for the new online set at each
-//! transition (controllers model a fixed `N`), so its power models
-//! re-converge from their initial laws — the measured quantity is how
-//! many epochs each policy needs to re-concentrate the unchanged machine
-//! budget onto 12 cores, and how badly it overshoots when 4 cold cores
-//! return.
+//! At each transition the model-predictive policies warm-carry the
+//! surviving cores' fitted power models onto the new online set, while
+//! Freq-Par, which declines, is rebuilt for it — the measured quantity is
+//! how many epochs each policy needs to re-concentrate the unchanged
+//! machine budget onto 12 cores, and how badly it overshoots when 4 cold
+//! cores return.
 
 use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind};
 use crate::sweep::Sweep;
@@ -99,7 +99,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
             "n/a".to_string()
         };
         // Return window: worst overshoot and settle time after 4 cold
-        // cores rejoin and the policy is rebuilt for 16 again.
+        // cores rejoin the 12 survivors.
         let ret: Vec<f64> = (on_at..epochs).map(power).collect();
         let overshoot = ret
             .iter()

@@ -634,7 +634,17 @@ impl FastCapController {
         candidates: &[Secs],
     ) -> Result<DvfsDecision> {
         let model = self.build_model(obs)?;
-        match optimizer::algorithm1(&model, candidates) {
+        self.solve_model(&model, candidates)
+    }
+
+    /// [`FastCapController::solve_quantized`] on a model already built by
+    /// [`FastCapController::build_model`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates optimizer failures other than infeasibility.
+    pub fn solve_model(&mut self, model: &CapModel, candidates: &[Secs]) -> Result<DvfsDecision> {
+        match optimizer::algorithm1(model, candidates) {
             Ok(sol) => {
                 self.cost.bus_evals += sol.points_evaluated as u64;
                 self.cost.solver_iters += sol.core_terms;
@@ -661,7 +671,7 @@ impl FastCapController {
                 } else {
                     self.cfg.mem_ladder.nearest_scale(sol.bus_scale)
                 };
-                let quantized_power = self.quantized_power(&model, &core_freqs, mem_freq);
+                let quantized_power = self.quantized_power(model, &core_freqs, mem_freq);
                 Ok(DvfsDecision {
                     core_freqs,
                     mem_freq,

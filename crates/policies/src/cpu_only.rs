@@ -6,68 +6,38 @@
 //! every epoch, but keeps the memory frequency fixed at the maximum value."
 //! All prior capping policies suffer from this limitation.
 
-use crate::policy::CappingPolicy;
+use crate::model_predictive::{ModelPredictive, Search};
 use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
-use fastcap_core::units::Watts;
+use fastcap_core::model::CapModel;
 
 /// FastCap restricted to core DVFS (memory fixed at maximum).
-#[derive(Debug, Clone)]
-pub struct CpuOnlyPolicy {
-    controller: FastCapController,
-    mem_max_idx: usize,
-}
+pub type CpuOnlyPolicy = ModelPredictive<PinnedMemory>;
 
-impl CpuOnlyPolicy {
-    /// Creates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        let mem_max_idx = cfg.mem_ladder.len() - 1;
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-            mem_max_idx,
-        })
-    }
-}
+/// Algorithm 1 on the single candidate `[s̄_b]`, with the memory level
+/// pinned at the ladder's maximum.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PinnedMemory;
 
-impl CappingPolicy for CpuOnlyPolicy {
-    fn name(&self) -> &'static str {
-        "CPU-only"
+impl Search for PinnedMemory {
+    const NAME: &'static str = "CPU-only";
+
+    fn mem_pin(cfg: &FastCapConfig) -> Option<usize> {
+        Some(cfg.mem_ladder.len() - 1)
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.observe(obs);
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        _obs: &EpochObservation,
+        _cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
         // Only the fastest candidate (s_b = s̄_b): memory stays at maximum.
-        let only_max = [self.controller.candidates()[0]];
-        let mut d = self.controller.solve_quantized(obs, &only_max)?;
-        d.mem_freq = self.mem_max_idx;
-        Ok(d)
-    }
-
-    fn bootstrap(&mut self) -> Option<DvfsDecision> {
-        Some(self.controller.bootstrap(Some(self.mem_max_idx)))
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
-        self.controller = self.controller.warm_carry(carried)?;
-        Ok(true)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        self.controller.cost()
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+        let only_max = [ctl.candidates()[0]];
+        ctl.solve_model(model, &only_max)
     }
 }
 
@@ -75,7 +45,7 @@ impl CappingPolicy for CpuOnlyPolicy {
 mod tests {
     use super::*;
     use crate::tests::{cfg_16, obs_16};
-    use crate::FastCapPolicy;
+    use crate::{CappingPolicy, FastCapPolicy};
 
     #[test]
     fn memory_is_always_max() {

@@ -9,114 +9,55 @@
 //! may overshoot the budget even when a few cores could safely speed up, so
 //! on large mixed systems Eql-Freq leaves budget unharvested (Fig. 10).
 
-use crate::policy::CappingPolicy;
-use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
+use crate::model_predictive::{grid_decision, GridPoint, ModelPredictive, Search};
+use fastcap_core::capper::{DvfsDecision, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
+use fastcap_core::model::CapModel;
 use fastcap_core::optimizer::evaluate_point;
-use fastcap_core::units::Watts;
 
 /// The Eql-Freq baseline.
-#[derive(Debug, Clone)]
-pub struct EqlFreqPolicy {
-    controller: FastCapController,
-    search_cost: CostCounter,
-}
+pub type EqlFreqPolicy = ModelPredictive<EqualFrequency>;
 
-impl EqlFreqPolicy {
-    /// Creates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-            search_cost: CostCounter::default(),
-        })
-    }
-}
+/// One core level for all cores at every memory candidate, `O(F·M)`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EqualFrequency;
 
-impl CappingPolicy for EqlFreqPolicy {
-    fn name(&self) -> &'static str {
-        "Eql-Freq"
-    }
+impl Search for EqualFrequency {
+    const NAME: &'static str = "Eql-Freq";
 
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.observe(obs);
-        let model = self.controller.build_model(obs)?;
-        let cfg = self.controller.config();
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        _obs: &EpochObservation,
+        cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
+        let ladder = &ctl.config().core_ladder;
         let n = model.n_cores();
-        let candidates = self.controller.candidates().to_vec();
-
-        let mut best: Option<(f64, Watts, usize, usize)> = None;
-        for &sb in &candidates {
-            let bus_scale = model.memory.min_bus_transfer_time / sb;
-            // Budget-bound by construction: quantize the memory level down
-            // so actuation cannot overshoot the candidate it was costed at.
-            let mem_idx = if cfg.quantize_down {
-                cfg.mem_ladder.floor_scale(bus_scale)
-            } else {
-                cfg.mem_ladder.nearest_scale(bus_scale)
-            };
-            self.search_cost.quantize_ops += 1;
-            for level in 0..cfg.core_ladder.len() {
-                let scale = cfg.core_ladder.scale(level);
-                let scales = vec![scale; n];
-                let (d, power) = evaluate_point(&model, &scales, sb)?;
+        let mut best: Option<GridPoint> = None;
+        for &sb in ctl.candidates() {
+            // The memory quantization of this candidate.
+            cost.quantize_ops += 1;
+            for level in 0..ladder.len() {
+                let scales = vec![ladder.scale(level); n];
+                let (degradation, power) = evaluate_point(model, &scales, sb)?;
                 // Each (level, s_b) pair costs n grid terms.
-                self.search_cost.grid_points += n as u64;
+                cost.grid_points += n as u64;
                 if power.get() <= model.budget.get() + 1e-9
-                    && best.as_ref().is_none_or(|(bd, ..)| d > *bd)
+                    && best.as_ref().is_none_or(|b| degradation > b.degradation)
                 {
-                    best = Some((d, power, level, mem_idx));
+                    best = Some(GridPoint {
+                        core_freqs: vec![level; n],
+                        sb,
+                        degradation,
+                        power,
+                    });
                 }
             }
         }
-
-        Ok(match best {
-            // `power` was evaluated at ladder scales on both axes, so the
-            // continuous and quantized predictions coincide here.
-            Some((d, power, level, mem_freq)) => DvfsDecision {
-                core_freqs: vec![level; n],
-                mem_freq,
-                predicted_power: power,
-                quantized_power: power,
-                budget_trim: self.controller.budget_trim(),
-                degradation: d,
-                budget_bound: true,
-                emergency: false,
-            },
-            None => DvfsDecision {
-                core_freqs: vec![0; n],
-                mem_freq: 0,
-                predicted_power: model.static_power,
-                quantized_power: model.static_power,
-                budget_trim: self.controller.budget_trim(),
-                degradation: 0.0,
-                budget_bound: true,
-                emergency: true,
-            },
-        })
-    }
-
-    fn bootstrap(&mut self) -> Option<DvfsDecision> {
-        Some(self.controller.bootstrap(None))
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        let mut c = self.controller.cost();
-        c.add(&self.search_cost);
-        c
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+        Ok(grid_decision(ctl, model, best))
     }
 }
 
@@ -124,7 +65,7 @@ impl CappingPolicy for EqlFreqPolicy {
 mod tests {
     use super::*;
     use crate::tests::{cfg_16, obs_16};
-    use crate::FastCapPolicy;
+    use crate::{CappingPolicy, FastCapPolicy};
 
     #[test]
     fn all_cores_share_one_frequency() {

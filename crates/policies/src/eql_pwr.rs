@@ -12,126 +12,64 @@
 //! application degradation is much larger than FastCap's, especially in
 //! mixed workloads.
 
-use crate::policy::CappingPolicy;
-use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
+use crate::model_predictive::{core_budgets, grid_decision, GridPoint, ModelPredictive, Search};
+use fastcap_core::capper::{DvfsDecision, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
+use fastcap_core::model::CapModel;
 use fastcap_core::optimizer::evaluate_point;
-use fastcap_core::units::Watts;
+use fastcap_core::units::{Hz, Watts};
 
 /// The Eql-Pwr baseline.
-#[derive(Debug, Clone)]
-pub struct EqlPwrPolicy {
-    controller: FastCapController,
-    search_cost: CostCounter,
-}
+pub type EqlPwrPolicy = ModelPredictive<EqualPower>;
 
-impl EqlPwrPolicy {
-    /// Creates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-            search_cost: CostCounter::default(),
-        })
-    }
-}
+/// Equal per-core power shares at every memory candidate, `O(N·M)`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EqualPower;
 
-impl CappingPolicy for EqlPwrPolicy {
-    fn name(&self) -> &'static str {
-        "Eql-Pwr"
-    }
+impl Search for EqualPower {
+    const NAME: &'static str = "Eql-Pwr";
 
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.observe(obs);
-        let model = self.controller.build_model(obs)?;
-        let cfg = self.controller.config();
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        _obs: &EpochObservation,
+        cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
+        let ladder = &ctl.config().core_ladder;
         let n = model.n_cores();
-        let ladder = &cfg.core_ladder;
-        let candidates = self.controller.candidates().to_vec();
-
-        let mut best: Option<(f64, Watts, Vec<usize>, usize)> = None;
-        for &sb in &candidates {
-            let bus_scale = model.memory.min_bus_transfer_time / sb;
-            let mem_dyn = model.memory.power.dynamic_power(bus_scale);
-            let core_total = model.budget - model.static_power - mem_dyn;
-            if core_total.get() <= 0.0 {
+        let mut best: Option<GridPoint> = None;
+        for (sb, core_budget) in core_budgets(ctl, model) {
+            if core_budget <= 0.0 {
                 continue;
             }
-            let share = core_total / n as f64;
+            let share = Watts(core_budget / n as f64);
             // Highest ladder level whose predicted power fits the share.
-            let mut idxs = Vec::with_capacity(n);
+            let mut core_freqs = Vec::with_capacity(n);
             let mut scales = Vec::with_capacity(n);
             for c in &model.cores {
                 let scale = c.power.scale_for_power(share).min(1.0);
-                let idx = ladder.floor(fastcap_core::units::Hz(ladder.max().get() * scale));
-                idxs.push(idx);
+                let idx = ladder.floor(Hz(ladder.max().get() * scale));
+                core_freqs.push(idx);
                 scales.push(ladder.scale(idx));
             }
-            let (d, power) = evaluate_point(&model, &scales, sb)?;
-            // Budget-bound by construction: quantize the memory level down
-            // so actuation cannot overshoot the candidate it was costed at.
-            let mem_idx = if cfg.quantize_down {
-                cfg.mem_ladder.floor_scale(bus_scale)
-            } else {
-                cfg.mem_ladder.nearest_scale(bus_scale)
-            };
+            let (degradation, power) = evaluate_point(model, &scales, sb)?;
             // Per candidate: n per-core share quantizations + the memory
             // one, and n grid terms inside evaluate_point.
-            self.search_cost.quantize_ops += n as u64 + 1;
-            self.search_cost.grid_points += n as u64;
-            if best.as_ref().is_none_or(|(bd, ..)| d > *bd) {
-                best = Some((d, power, idxs, mem_idx));
+            cost.quantize_ops += n as u64 + 1;
+            cost.grid_points += n as u64;
+            if best.as_ref().is_none_or(|b| degradation > b.degradation) {
+                best = Some(GridPoint {
+                    core_freqs,
+                    sb,
+                    degradation,
+                    power,
+                });
             }
         }
-
-        Ok(match best {
-            // `power` was evaluated at ladder scales on both axes, so the
-            // continuous and quantized predictions coincide here.
-            Some((d, power, core_freqs, mem_freq)) => DvfsDecision {
-                core_freqs,
-                mem_freq,
-                predicted_power: power,
-                quantized_power: power,
-                budget_trim: self.controller.budget_trim(),
-                degradation: d,
-                budget_bound: true,
-                emergency: false,
-            },
-            // No memory point leaves any core budget: emergency floor.
-            None => DvfsDecision {
-                core_freqs: vec![0; n],
-                mem_freq: 0,
-                predicted_power: model.static_power,
-                quantized_power: model.static_power,
-                budget_trim: self.controller.budget_trim(),
-                degradation: 0.0,
-                budget_bound: true,
-                emergency: true,
-            },
-        })
-    }
-
-    fn bootstrap(&mut self) -> Option<DvfsDecision> {
-        Some(self.controller.bootstrap(None))
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        let mut c = self.controller.cost();
-        c.add(&self.search_cost);
-        c
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+        Ok(grid_decision(ctl, model, best))
     }
 }
 
@@ -139,8 +77,8 @@ impl CappingPolicy for EqlPwrPolicy {
 mod tests {
     use super::*;
     use crate::tests::{cfg_16, obs_16};
-    use crate::FastCapPolicy;
-    use fastcap_core::units::{Hz, Secs};
+    use crate::{CappingPolicy, FastCapPolicy};
+    use fastcap_core::units::Secs;
 
     #[test]
     fn stays_within_budget_prediction() {

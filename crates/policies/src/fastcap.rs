@@ -1,65 +1,33 @@
-//! FastCap as a [`CappingPolicy`] — a thin adapter over
-//! [`fastcap_core::capper::FastCapController`].
+//! FastCap's search: Algorithm 1 over every memory candidate, quantized
+//! by [`fastcap_core::capper::FastCapController`] itself.
 
-use crate::policy::CappingPolicy;
-use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
+use crate::model_predictive::{ModelPredictive, Search};
+use fastcap_core::capper::{DvfsDecision, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
-use fastcap_core::units::Watts;
+use fastcap_core::model::CapModel;
 
 /// The paper's policy: joint core + memory DVFS via Algorithm 1.
-#[derive(Debug, Clone)]
-pub struct FastCapPolicy {
-    controller: FastCapController,
-}
+pub type FastCapPolicy = ModelPredictive<Algorithm1>;
 
-impl FastCapPolicy {
-    /// Creates the policy from a controller configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-        })
-    }
+/// Algorithm 1, `O(N log M)`: a binary search over the `M` memory
+/// candidates, each an `O(N)` solve for the per-core frequencies.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Algorithm1;
 
-    /// Access to the wrapped controller (e.g. for overhead benchmarks).
-    pub fn controller(&self) -> &FastCapController {
-        &self.controller
-    }
-}
+impl Search for Algorithm1 {
+    const NAME: &'static str = "FastCap";
 
-impl CappingPolicy for FastCapPolicy {
-    fn name(&self) -> &'static str {
-        "FastCap"
-    }
-
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.decide(obs)
-    }
-
-    fn bootstrap(&mut self) -> Option<DvfsDecision> {
-        Some(self.controller.bootstrap(None))
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
-        self.controller = self.controller.warm_carry(carried)?;
-        Ok(true)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        self.controller.cost()
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        _obs: &EpochObservation,
+        _cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
+        let candidates = ctl.candidates().to_vec();
+        ctl.solve_model(model, &candidates)
     }
 }
 
@@ -67,6 +35,7 @@ impl CappingPolicy for FastCapPolicy {
 mod tests {
     use super::*;
     use crate::tests::{cfg_16, obs_16};
+    use crate::CappingPolicy;
 
     #[test]
     fn wraps_controller_decisions() {

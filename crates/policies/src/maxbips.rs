@@ -10,31 +10,23 @@
 //!
 //! * the search is exponential in the core count — the paper could only
 //!   afford it on 4-core systems, and so does this implementation (the
-//!   constructor rejects core counts whose search space would exceed
-//!   ~10⁸ evaluations);
+//!   constructor and every warm carry reject core counts whose search
+//!   space would exceed ~10⁸ evaluations);
 //! * maximizing aggregate BIPS is *unfair*: power flows to power-efficient
 //!   applications, creating performance outliers (Fig. 11).
 
-use crate::policy::CappingPolicy;
+use crate::model_predictive::{core_budgets, grid_decision, GridPoint, ModelPredictive, Search};
 use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::{Error, Result};
 use fastcap_core::model::CapModel;
 use fastcap_core::optimizer::evaluate_point;
-use fastcap_core::units::{Secs, Watts};
+use fastcap_core::units::Secs;
 use std::cmp::Ordering;
 
 /// The MaxBIPS baseline.
-#[derive(Debug, Clone)]
-pub struct MaxBipsPolicy {
-    controller: FastCapController,
-    /// Objective value of the last decision (test/diagnostic hook shared
-    /// with the beam variant so the two can be pinned against each other).
-    last_total_bips: f64,
-    search_cost: CostCounter,
-    tables: GridTables,
-}
+pub type MaxBipsPolicy = ModelPredictive<Exhaustive>;
 
 /// Cap on `F^N · M` grid size (keeps per-epoch latency finite; the paper
 /// faced the same wall and evaluated MaxBIPS on 4 cores only).
@@ -46,35 +38,14 @@ const MAX_GRID: f64 = 1e8;
 /// tests) at `O(N · W · F)` per memory candidate instead of `O(F^N)`.
 const DEFAULT_BEAM_WIDTH: usize = 64;
 
-impl MaxBipsPolicy {
-    /// Creates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the exhaustive search space
-    /// `F^N · M` would exceed ~10⁸ points (e.g. 16+ cores), or for invalid
-    /// configurations.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        let f = cfg.core_ladder.len() as f64;
-        let m = cfg.mem_ladder.len() as f64;
-        let grid = f.powi(cfg.n_cores as i32) * m;
-        if !grid.is_finite() || grid > MAX_GRID {
-            return Err(Error::InvalidConfig {
-                what: "MaxBIPS::n_cores",
-                why: format!(
-                    "exhaustive search needs {grid:.1e} evaluations for N={}, F={f}, M={m} \
-                     (cap {MAX_GRID:.0e}); the paper, too, only ran MaxBIPS on 4 cores",
-                    cfg.n_cores
-                ),
-            });
-        }
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-            last_total_bips: 0.0,
-            search_cost: CostCounter::default(),
-            tables: GridTables::default(),
-        })
-    }
+/// The exhaustive MaxBIPS search: an odometer over all `F^N` core-level
+/// combinations at every memory candidate, `O(F^N · M)`.
+#[derive(Debug, Clone, Default)]
+pub struct Exhaustive {
+    /// Objective value of the last decision (test/diagnostic hook shared
+    /// with the beam variant so the two can be pinned against each other).
+    last_total_bips: f64,
+    tables: GridTables,
 }
 
 /// Per-(core, level) search tables shared by the exhaustive and beam
@@ -145,30 +116,48 @@ impl GridTables {
     }
 }
 
-impl CappingPolicy for MaxBipsPolicy {
-    fn name(&self) -> &'static str {
-        "MaxBIPS"
+impl Search for Exhaustive {
+    const NAME: &'static str = "MaxBIPS";
+
+    /// Rejects core counts whose exhaustive search space `F^N · M` would
+    /// exceed ~10⁸ points (e.g. 16+ cores).
+    fn admits(cfg: &FastCapConfig) -> Result<()> {
+        let f = cfg.core_ladder.len() as f64;
+        let m = cfg.mem_ladder.len() as f64;
+        let grid = f.powi(cfg.n_cores as i32) * m;
+        if !grid.is_finite() || grid > MAX_GRID {
+            return Err(Error::InvalidConfig {
+                what: "MaxBIPS::n_cores",
+                why: format!(
+                    "exhaustive search needs {grid:.1e} evaluations for N={}, F={f}, M={m} \
+                     (cap {MAX_GRID:.0e}); the paper, too, only ran MaxBIPS on 4 cores",
+                    cfg.n_cores
+                ),
+            });
+        }
+        Ok(())
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.observe(obs);
-        let model = self.controller.build_model(obs)?;
-        let cfg = self.controller.config();
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        obs: &EpochObservation,
+        cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
+        let cfg = ctl.config();
         let n = model.n_cores();
         let f_levels = cfg.core_ladder.len();
         let tables = &mut self.tables;
-        tables.load(&model, cfg, obs);
+        tables.load(model, cfg, obs);
 
-        let mut best: Option<(f64, f64, Watts, Vec<usize>, usize)> = None;
-        for &sb in self.controller.candidates() {
-            let bus_scale = model.memory.min_bus_transfer_time / sb;
-            let mem_dyn = model.memory.power.dynamic_power(bus_scale);
-            let core_budget = model.budget.get() - model.static_power.get() - mem_dyn.get();
+        let mut best: Option<(f64, GridPoint)> = None;
+        for (sb, core_budget) in core_budgets(ctl, model) {
             if core_budget <= 0.0 {
                 continue;
             }
-            tables.load_bips(&model, sb);
-            self.search_cost.grid_points += (n * f_levels) as u64;
+            tables.load_bips(model, sb);
+            cost.grid_points += (n * f_levels) as u64;
 
             // Exhaustive odometer over F^N combinations.
             let mut combo = vec![0usize; n];
@@ -179,19 +168,19 @@ impl CappingPolicy for MaxBipsPolicy {
                     power += tables.pcost(i)[l];
                     total_bips += tables.bips(i)[l];
                 }
-                self.search_cost.grid_points += n as u64;
-                if power <= core_budget && best.as_ref().is_none_or(|(bb, ..)| total_bips > *bb) {
+                cost.grid_points += n as u64;
+                if power <= core_budget && best.as_ref().is_none_or(|(bb, _)| total_bips > *bb) {
                     let scales_now: Vec<f64> = combo.iter().map(|&l| tables.scales[l]).collect();
-                    let (d, p) = evaluate_point(&model, &scales_now, sb)?;
-                    self.search_cost.grid_points += n as u64;
-                    self.search_cost.quantize_ops += 1;
-                    best = Some((
-                        total_bips,
-                        d,
-                        p,
-                        combo.clone(),
-                        cfg.mem_ladder.nearest_scale(bus_scale),
-                    ));
+                    let (degradation, power) = evaluate_point(model, &scales_now, sb)?;
+                    cost.grid_points += n as u64;
+                    cost.quantize_ops += 1;
+                    let point = GridPoint {
+                        core_freqs: combo.clone(),
+                        sb,
+                        degradation,
+                        power,
+                    };
+                    best = Some((total_bips, point));
                 }
                 // Advance the odometer.
                 let mut k = 0;
@@ -211,49 +200,8 @@ impl CappingPolicy for MaxBipsPolicy {
                 }
             }
         }
-
-        Ok(match best {
-            Some((bips, d, power, core_freqs, mem_freq)) => {
-                self.last_total_bips = bips;
-                DvfsDecision {
-                    core_freqs,
-                    mem_freq,
-                    predicted_power: power,
-                    quantized_power: power,
-                    budget_trim: Watts::ZERO,
-                    degradation: d,
-                    budget_bound: true,
-                    emergency: false,
-                }
-            }
-            None => {
-                self.last_total_bips = 0.0;
-                DvfsDecision {
-                    core_freqs: vec![0; n],
-                    mem_freq: 0,
-                    predicted_power: model.static_power,
-                    quantized_power: model.static_power,
-                    budget_trim: Watts::ZERO,
-                    degradation: 0.0,
-                    budget_bound: true,
-                    emergency: true,
-                }
-            }
-        })
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        let mut c = self.controller.cost();
-        c.add(&self.search_cost);
-        c
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+        self.last_total_bips = best.as_ref().map_or(0.0, |(bips, _)| *bips);
+        Ok(grid_decision(ctl, model, best.map(|(_, point)| point)))
     }
 }
 
@@ -416,6 +364,9 @@ fn merge_frontier(runs: &[Vec<Node>], heads: &mut [usize], width: usize, frontie
 /// any core count (the exhaustive baseline rejects `N > 8` at the paper's
 /// ladder sizes and 16-core scenario artifacts would otherwise have to
 /// exclude MaxBIPS).
+pub type MaxBipsBeamPolicy = ModelPredictive<Beam>;
+
+/// The width-`W` beam search of [`MaxBipsBeamPolicy`], `O(N·W·F·M)`.
 ///
 /// Cores are assigned in index order. After extending every surviving
 /// state by all `F` levels of the next core, states that cannot be
@@ -428,25 +379,25 @@ fn merge_frontier(runs: &[Vec<Node>], heads: &mut [usize], width: usize, frontie
 /// that depends only on the model, so exact ties between identical cores
 /// always resolve the same way.
 #[derive(Debug, Clone)]
-pub struct MaxBipsBeamPolicy {
-    controller: FastCapController,
+pub struct Beam {
     width: usize,
     last_total_bips: f64,
-    search_cost: CostCounter,
     tables: GridTables,
     arena: BeamArena,
 }
 
-impl MaxBipsBeamPolicy {
-    /// Creates the policy with the default beam width.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: FastCapConfig) -> Result<Self> {
-        Self::with_width(cfg, DEFAULT_BEAM_WIDTH)
+impl Default for Beam {
+    fn default() -> Self {
+        Self {
+            width: DEFAULT_BEAM_WIDTH,
+            last_total_bips: 0.0,
+            tables: GridTables::default(),
+            arena: BeamArena::default(),
+        }
     }
+}
 
+impl MaxBipsBeamPolicy {
     /// Creates the policy with an explicit beam width (≥ 1).
     ///
     /// # Errors
@@ -460,144 +411,79 @@ impl MaxBipsBeamPolicy {
                 why: "beam width must be at least 1".into(),
             });
         }
-        Ok(Self {
-            controller: FastCapController::new(cfg)?,
-            width,
-            last_total_bips: 0.0,
-            search_cost: CostCounter::default(),
-            tables: GridTables::default(),
-            arena: BeamArena::default(),
-        })
+        Self::with_search(
+            cfg,
+            Beam {
+                width,
+                ..Beam::default()
+            },
+        )
     }
 }
 
-impl CappingPolicy for MaxBipsBeamPolicy {
-    fn name(&self) -> &'static str {
-        "MaxBIPS-beam"
-    }
+impl Search for Beam {
+    const NAME: &'static str = "MaxBIPS-beam";
 
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        self.controller.observe(obs);
-        let model = self.controller.build_model(obs)?;
-        let cfg = self.controller.config();
+    fn search(
+        &mut self,
+        ctl: &mut FastCapController,
+        model: &CapModel,
+        obs: &EpochObservation,
+        cost: &mut CostCounter,
+    ) -> Result<DvfsDecision> {
+        let cfg = ctl.config();
         let n = model.n_cores();
         let f_levels = cfg.core_ladder.len();
         let tables = &mut self.tables;
-        tables.load(&model, cfg, obs);
+        tables.load(model, cfg, obs);
         let min_suffix = tables.min_suffix(n);
 
         let mut combo = Vec::with_capacity(n);
-        let mut best: Option<(f64, Secs, usize)> = None;
-        for &sb in self.controller.candidates() {
-            let bus_scale = model.memory.min_bus_transfer_time / sb;
-            let mem_dyn = model.memory.power.dynamic_power(bus_scale);
-            let core_budget = model.budget.get() - model.static_power.get() - mem_dyn.get();
+        let mut best: Option<(f64, Secs)> = None;
+        for (sb, core_budget) in core_budgets(ctl, model) {
             if core_budget <= 0.0 || min_suffix[0] > core_budget {
                 continue;
             }
-            tables.load_bips(&model, sb);
-            self.search_cost.grid_points += (n * f_levels) as u64;
-            let top = self.arena.search(
-                tables,
-                &min_suffix,
-                core_budget,
-                self.width,
-                &mut self.search_cost,
-            );
+            tables.load_bips(model, sb);
+            cost.grid_points += (n * f_levels) as u64;
+            let top = self
+                .arena
+                .search(tables, &min_suffix, core_budget, self.width, cost);
             if let Some(top) = top {
-                if best.as_ref().is_none_or(|(b, ..)| top.bips > *b) {
-                    self.search_cost.quantize_ops += 1;
+                if best.as_ref().is_none_or(|(b, _)| top.bips > *b) {
+                    cost.quantize_ops += 1;
                     self.arena.rebuild_top(&mut combo);
-                    best = Some((top.bips, sb, cfg.mem_ladder.nearest_scale(bus_scale)));
+                    best = Some((top.bips, sb));
                 }
             }
         }
 
-        Ok(match best {
-            Some((bips, sb, mem_freq)) => {
+        self.last_total_bips = best.map_or(0.0, |(bips, _)| bips);
+        let point = match best {
+            Some((_, sb)) => {
                 let scales_now: Vec<f64> = combo.iter().map(|&l| tables.scales[l]).collect();
-                let (d, power) = evaluate_point(&model, &scales_now, sb)?;
-                self.search_cost.grid_points += n as u64;
-                self.last_total_bips = bips;
-                DvfsDecision {
+                let (degradation, power) = evaluate_point(model, &scales_now, sb)?;
+                cost.grid_points += n as u64;
+                Some(GridPoint {
                     core_freqs: combo,
-                    mem_freq,
-                    predicted_power: power,
-                    quantized_power: power,
-                    budget_trim: Watts::ZERO,
-                    degradation: d,
-                    budget_bound: true,
-                    emergency: false,
-                }
+                    sb,
+                    degradation,
+                    power,
+                })
             }
-            None => {
-                self.last_total_bips = 0.0;
-                DvfsDecision {
-                    core_freqs: vec![0; n],
-                    mem_freq: 0,
-                    predicted_power: model.static_power,
-                    quantized_power: model.static_power,
-                    budget_trim: Watts::ZERO,
-                    degradation: 0.0,
-                    budget_bound: true,
-                    emergency: true,
-                }
-            }
-        })
-    }
-
-    fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
-        self.controller.set_budget_fraction(fraction)
-    }
-
-    fn decision_cost(&self) -> CostCounter {
-        let mut c = self.controller.cost();
-        c.add(&self.search_cost);
-        c
-    }
-
-    fn in_force_budget(&self) -> Option<Watts> {
-        Some(self.controller.config().budget())
+            None => None,
+        };
+        Ok(grid_decision(ctl, model, point))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FastCapPolicy;
+    use crate::tests::{cfg_4, obs_4};
+    use crate::{CappingPolicy, FastCapPolicy};
     use fastcap_core::counters::{CoreSample, MemorySample};
-    use fastcap_core::units::{Hz, Secs};
-
-    fn cfg_4(budget: f64) -> FastCapConfig {
-        FastCapConfig::builder(4)
-            .budget_fraction(budget)
-            .peak_power(Watts(60.0))
-            .build()
-            .unwrap()
-    }
-
-    fn obs_4() -> EpochObservation {
-        let cores = (0..4)
-            .map(|i| CoreSample {
-                freq: Hz::from_ghz(4.0),
-                busy_time_per_instruction: Secs::from_nanos(0.28),
-                instructions: 1_000_000,
-                last_level_misses: if i < 2 { 500 } else { 12_000 },
-                power: Watts(4.0),
-            })
-            .collect();
-        EpochObservation::single(
-            cores,
-            MemorySample {
-                bus_freq: Hz::from_mhz(800.0),
-                bank_queue: 1.4,
-                bus_queue: 1.2,
-                bank_service_time: Secs::from_nanos(28.0),
-                power: Watts(25.0),
-            },
-            Watts(55.0),
-        )
-    }
+    use fastcap_core::units::{Hz, Watts};
 
     #[test]
     fn rejects_large_core_counts() {
@@ -606,6 +492,14 @@ mod tests {
             MaxBipsPolicy::new(cfg),
             Err(Error::InvalidConfig { .. })
         ));
+        // A warm carry onto 16 cores is refused the same way, and the
+        // policy keeps deciding for its 4 cores.
+        let mut p = MaxBipsPolicy::new(cfg_4(0.6)).unwrap();
+        assert!(matches!(
+            p.on_active_set_change(&[None; 16]),
+            Err(Error::InvalidConfig { .. })
+        ));
+        assert_eq!(p.decide(&obs_4()).unwrap().core_freqs.len(), 4);
     }
 
     #[test]
@@ -709,12 +603,12 @@ mod tests {
             let de = exact.decide(&obs).unwrap();
             let db = beam.decide(&obs).unwrap();
             assert!(!de.emergency && !db.emergency, "B={budget}");
-            let tol = 1e-9 * exact.last_total_bips.max(1.0);
+            let tol = 1e-9 * exact.search.last_total_bips.max(1.0);
             assert!(
-                (beam.last_total_bips - exact.last_total_bips).abs() <= tol,
+                (beam.search.last_total_bips - exact.search.last_total_bips).abs() <= tol,
                 "B={budget}: beam {} vs exhaustive {}",
-                beam.last_total_bips,
-                exact.last_total_bips
+                beam.search.last_total_bips,
+                exact.search.last_total_bips
             );
             assert!(db.predicted_power.get() <= 60.0 * budget + 1e-6);
         }
@@ -729,18 +623,18 @@ mod tests {
             exact.decide(&obs).unwrap();
             beam.decide(&obs).unwrap();
             assert!(
-                exact.last_total_bips > 0.0,
+                exact.search.last_total_bips > 0.0,
                 "B={budget}: exhaustive found a feasible point"
             );
-            let tol = 1e-9 * exact.last_total_bips.max(1.0);
+            let tol = 1e-9 * exact.search.last_total_bips.max(1.0);
             assert!(
-                (beam.last_total_bips - exact.last_total_bips).abs() <= tol,
+                (beam.search.last_total_bips - exact.search.last_total_bips).abs() <= tol,
                 "B={budget}: beam {} vs exhaustive {}",
-                beam.last_total_bips,
-                exact.last_total_bips
+                beam.search.last_total_bips,
+                exact.search.last_total_bips
             );
             // The beam can never beat the exhaustive optimum.
-            assert!(beam.last_total_bips <= exact.last_total_bips + tol);
+            assert!(beam.search.last_total_bips <= exact.search.last_total_bips + tol);
         }
     }
 
@@ -757,7 +651,7 @@ mod tests {
         assert!(!d.emergency);
         assert_eq!(d.core_freqs.len(), 16);
         assert!(d.predicted_power.get() <= 72.0 + 1e-6);
-        assert!(beam.last_total_bips > 0.0);
+        assert!(beam.search.last_total_bips > 0.0);
     }
 
     #[test]
@@ -771,11 +665,11 @@ mod tests {
             assert!(!d.emergency, "width {width}");
             assert!(d.predicted_power.get() <= 36.0 + 1e-6, "width {width}");
             assert!(
-                p.last_total_bips >= last - 1e-12,
+                p.search.last_total_bips >= last - 1e-12,
                 "width {width} regressed: {} < {last}",
-                p.last_total_bips
+                p.search.last_total_bips
             );
-            last = p.last_total_bips;
+            last = p.search.last_total_bips;
         }
         assert!(MaxBipsBeamPolicy::with_width(cfg_4(0.6), 0).is_err());
     }

@@ -3,7 +3,9 @@
 //! layer's expansions, kept here as a test oracle for the arena/run-merge
 //! search. Its tie rule is the policy's total order: a stable sort over the
 //! parent-major expansion order by BIPS descending, then power ascending.
-//! The two must agree on the decision and on the counted decision cost.
+//! Like every model-predictive policy, it reports the controller's budget
+//! trim. The two must agree on the decision and on the counted decision
+//! cost.
 
 use fastcap_core::capper::{DvfsDecision, FastCapConfig, FastCapController};
 use fastcap_core::cost::CostCounter;
@@ -159,7 +161,7 @@ impl ReferenceBeam {
                     mem_freq,
                     predicted_power: power,
                     quantized_power: power,
-                    budget_trim: Watts::ZERO,
+                    budget_trim: self.controller.budget_trim(),
                     degradation: d,
                     budget_bound: true,
                     emergency: false,
@@ -170,7 +172,7 @@ impl ReferenceBeam {
                 mem_freq: 0,
                 predicted_power: model.static_power,
                 quantized_power: model.static_power,
-                budget_trim: Watts::ZERO,
+                budget_trim: self.controller.budget_trim(),
                 degradation: 0.0,
                 budget_bound: true,
                 emergency: true,

@@ -8,6 +8,7 @@ use fastcap_core::counters::{CoreSample, EpochObservation, MemorySample};
 use fastcap_core::units::{Hz, Secs, Watts};
 use fastcap_policies::{
     CappingPolicy, CpuOnlyPolicy, EqlFreqPolicy, EqlPwrPolicy, FastCapPolicy, FreqParPolicy,
+    MaxBipsBeamPolicy,
 };
 use proptest::prelude::*;
 
@@ -72,6 +73,7 @@ proptest! {
             Box::new(FreqParPolicy::new(cfg(b)).expect("build")),
             Box::new(EqlPwrPolicy::new(cfg(b)).expect("build")),
             Box::new(EqlFreqPolicy::new(cfg(b)).expect("build")),
+            Box::new(MaxBipsBeamPolicy::new(cfg(b)).expect("build")),
         ];
         for p in &mut policies {
             let d = p.decide(&obs).expect("decide");

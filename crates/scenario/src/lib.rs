@@ -16,10 +16,10 @@
 //!   (`overlay`) layered over each application's own
 //!   [`PhaseSpec`](fastcap_workloads::PhaseSpec);
 //! * **core hotplug** — cores vanishing and reappearing
-//!   (`cores_offline` / `cores_online`), with the policy rebuilt for the
-//!   new online set — or, with
-//!   [`ScenarioRunner::with_warm_hotplug`], warm-carrying the surviving
-//!   cores' fitted models so the transient isolates allocation.
+//!   (`cores_offline` / `cores_online`): every model-predictive policy
+//!   warm-carries the surviving cores' fitted models onto the new online
+//!   set, so the transient isolates allocation, and a policy that
+//!   declines (Freq-Par) is rebuilt for it by the factory.
 //!
 //! Beyond hand-written files, [`generate`] samples scenarios from a
 //! seeded composable motif grammar (deterministic and lint-clean by

@@ -16,13 +16,15 @@
 //!
 //! Budget moves go through [`CappingPolicy::on_budget_change`]: learned
 //! state survives and the next decision re-solves against the new cap.
-//! Active-set changes instead **rebuild** the policy for the new online
-//! core count (controllers model a fixed `N`): the rebuilt controller
-//! re-converges its power models over the next few epochs — that
-//! re-balance transient is exactly what the `scn_hotplug` artifact
-//! measures. Observations are projected onto the online cores before each
-//! decision and the decision is scattered back (offline cores pinned to
-//! the lowest frequency; the simulator power-gates them regardless).
+//! Active-set changes go through [`CappingPolicy::on_active_set_change`]:
+//! every model-predictive policy warm-carries its surviving cores' fitted
+//! power models onto the new online set (newcomers start from the initial
+//! laws), so the transient isolates budget re-allocation. A policy that
+//! declines — Freq-Par, whose feedback state has no per-core model — is
+//! rebuilt by the factory for the new online core count. Observations
+//! are projected onto the online cores before each decision and the
+//! decision is scattered back (offline cores pinned to the lowest
+//! frequency; the simulator power-gates them regardless).
 
 use crate::format::{Action, Scenario};
 use fastcap_core::capper::DvfsDecision;
@@ -35,7 +37,8 @@ use fastcap_trace::{DecisionRecord, LaneRecord, TraceEvent, Tracer};
 use fastcap_workloads::{spec, AppInstance, PhaseSpec};
 
 /// Builds a policy for `n_active` online cores under `budget_fraction`.
-/// Called once up front and again on every active-set change.
+/// Called once up front and again on each active-set change the policy
+/// declines to warm-carry.
 pub type PolicyFactory<'a> = dyn FnMut(usize, f64) -> Result<Box<dyn CappingPolicy>> + 'a;
 
 /// A compiled scenario, ready to install on a server and run.
@@ -51,13 +54,6 @@ pub struct ScenarioRunner {
     /// Server-side actions, epoch-sorted (stable within an epoch in
     /// declaration order).
     server_actions: Vec<(u64, ControlAction)>,
-    /// Hotplug policy handling: `true` (the default set by
-    /// [`ScenarioRunner::new`]) first offers each active-set change to
-    /// [`CappingPolicy::on_active_set_change`] so supporting policies
-    /// warm-carry the surviving cores' fitted models, and rebuilds only
-    /// the policies that decline; `false` rebuilds the policy on every
-    /// change.
-    warm_hotplug: bool,
 }
 
 impl ScenarioRunner {
@@ -195,25 +191,7 @@ impl ScenarioRunner {
             budget_schedule,
             mask_schedule,
             server_actions,
-            warm_hotplug: true,
         })
-    }
-
-    /// Switches hotplug handling between **warm carry** (the default) and
-    /// **rebuild**. Under warm carry an active-set change is first offered
-    /// to the policy via [`CappingPolicy::on_active_set_change`]
-    /// (surviving cores keep their fitted power models; newcomers start
-    /// cold), falling back to a factory rebuild when the policy does not
-    /// support it. Warm carry became the default once the loose-cap bias
-    /// fixes landed: on the `scn_hotplug` return transient it overshoots
-    /// *less* than a rebuild (0.2% vs 0.8% worst, both oracle-green at
-    /// the tightened tolerance), because survivors' fitted models are
-    /// strictly better information than the initial laws. Pass `false`
-    /// to measure the conservative rebuild transient instead.
-    #[must_use]
-    pub fn with_warm_hotplug(mut self, on: bool) -> Self {
-        self.warm_hotplug = on;
-        self
     }
 
     /// The budget fraction in force at epoch 0.
@@ -318,9 +296,9 @@ impl ScenarioRunner {
     }
 
     /// Runs `epochs` epochs of the scenario on an installed server.
-    /// `factory` builds the capping policy (and rebuilds it on hotplug);
-    /// `None` runs the uncapped baseline (maximum frequencies) under the
-    /// same scenario perturbations.
+    /// `factory` builds the capping policy (and rebuilds it on a hotplug
+    /// it declines to warm-carry); `None` runs the uncapped baseline
+    /// (maximum frequencies) under the same scenario perturbations.
     ///
     /// # Errors
     ///
@@ -415,36 +393,19 @@ impl ScenarioRunner {
                     t.metrics.counter_add("scenario.hotplug_moves", 1);
                 }
             }
-            if let Some(f) = factory.as_mut() {
-                if mask_changed {
-                    let carried_ok = self.warm_hotplug
-                        && policy
-                            .as_mut()
-                            .expect("factory implies a policy")
-                            .on_active_set_change(&carry_map(&prev_mask, &mask))?;
-                    if carried_ok {
-                        // Warm carry: survivors keep their fitted models;
-                        // a same-epoch budget move still applies.
-                        if budget_changed {
-                            policy
-                                .as_mut()
-                                .expect("factory implies a policy")
-                                .on_budget_change(budget)?;
-                        }
-                    } else {
-                        // Rebuild for the new online set; the fresh
-                        // controller re-learns its models (the hotplug
-                        // transient). The rebuilt policy's counter restarts
-                        // at zero, so the trace-clock snapshot must too.
-                        let active = mask.iter().filter(|&&a| a).count();
-                        policy = Some(f(active, budget)?);
-                        policy_cost = CostCounter::default();
-                    }
+            if let (Some(f), Some(p)) = (factory.as_mut(), policy.as_mut()) {
+                if mask_changed && !p.on_active_set_change(&carry_map(&prev_mask, &mask))? {
+                    // The policy declined warm carry: rebuild it for the
+                    // new online set. The rebuilt policy's counter
+                    // restarts at zero, so the trace-clock snapshot must
+                    // too.
+                    let active = mask.iter().filter(|&&a| a).count();
+                    policy = Some(f(active, budget)?);
+                    policy_cost = CostCounter::default();
                 } else if budget_changed {
-                    policy
-                        .as_mut()
-                        .expect("factory implies a policy")
-                        .on_budget_change(budget)?;
+                    // Also after a warm carry: a same-epoch budget move
+                    // still applies.
+                    p.on_budget_change(budget)?;
                 }
             }
             let decision = match (&mut policy, server.observation()) {
@@ -627,6 +588,36 @@ mod tests {
         Server::for_workload(quick_cfg(16), &mixes::by_name(mix).unwrap(), seed).unwrap()
     }
 
+    /// FastCap that declines warm carry, so the runner must rebuild it on
+    /// every active-set change: the factory-rebuild path under test.
+    struct Rebuilt(FastCapPolicy);
+
+    impl CappingPolicy for Rebuilt {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
+            self.0.decide(obs)
+        }
+
+        fn bootstrap(&mut self) -> Option<DvfsDecision> {
+            self.0.bootstrap()
+        }
+
+        fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
+            self.0.on_budget_change(fraction)
+        }
+
+        fn decision_cost(&self) -> CostCounter {
+            self.0.decision_cost()
+        }
+
+        fn in_force_budget(&self) -> Option<fastcap_core::units::Watts> {
+            self.0.in_force_budget()
+        }
+    }
+
     fn fastcap_factory(
         cfg: &SimConfig,
     ) -> impl FnMut(usize, f64) -> Result<Box<dyn CappingPolicy>> + '_ {
@@ -748,16 +739,14 @@ mod tests {
                 },
             },
         ]);
-        // Rebuild mode, explicitly: this test pins the factory-rebuild
-        // path (warm carry is the default since the bias-fix PR).
-        let runner = ScenarioRunner::new(&s, 0.6)
-            .unwrap()
-            .with_warm_hotplug(false);
+        // A policy that declines warm carry: this test pins the
+        // factory-rebuild path.
+        let runner = ScenarioRunner::new(&s, 0.6).unwrap();
         let mut rebuilds = Vec::new();
         let mut factory = |n_active: usize, budget: f64| {
             rebuilds.push(n_active);
             let ctl = cfg.controller_config_n(budget, n_active)?;
-            Ok(Box::new(FastCapPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
+            Ok(Box::new(Rebuilt(FastCapPolicy::new(ctl)?)) as Box<dyn CappingPolicy>)
         };
         let mut srv = server("MID1", 7);
         runner.install(&mut srv).unwrap();
@@ -824,14 +813,16 @@ mod tests {
             },
         ]);
         let run_with = |warm: bool| {
-            let runner = ScenarioRunner::new(&s, 0.6)
-                .unwrap()
-                .with_warm_hotplug(warm);
+            let runner = ScenarioRunner::new(&s, 0.6).unwrap();
             let mut builds = Vec::new();
             let mut factory = |n_active: usize, budget: f64| {
                 builds.push(n_active);
-                let ctl = cfg.controller_config_n(budget, n_active)?;
-                Ok(Box::new(FastCapPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
+                let p = FastCapPolicy::new(cfg.controller_config_n(budget, n_active)?)?;
+                Ok(if warm {
+                    Box::new(p) as Box<dyn CappingPolicy>
+                } else {
+                    Box::new(Rebuilt(p))
+                })
             };
             let mut srv = server("MID1", 7);
             runner.install(&mut srv).unwrap();
