@@ -6,18 +6,18 @@
 //! repro all [--quick] [--jobs N]
 //! repro matrix [--count K] [--mixes LIST|all] [--policies LIST|all] [--quick] [--jobs N]
 //! repro scenario validate [DIR]
-//! repro calibrate [--check]
+//! repro calibrate
 //! repro costgate [--jobs N]
 //! repro --list
 //! ```
 //!
 //! The timing artifacts (`tab1`, `overhead`, `scaling`) publish **modeled**
-//! latencies by default — deterministic operation counts priced by the
-//! checked-in `COST_MODEL.json` weights (DESIGN.md §10) — and are
-//! golden-pinned like every other artifact. `--wall-clock` switches them
-//! back to measured host time (for EXPERIMENTS.md refreshes); `repro
-//! calibrate` refits the weights from this host's wall clock; `repro
-//! costgate` re-checks the goldens and the modeled-cost expectations.
+//! latencies — deterministic operation counts priced by the checked-in
+//! `COST_MODEL.json` weights (DESIGN.md §10) — and are golden-pinned like
+//! every other artifact. `repro calibrate` refits the weights from this
+//! host's wall clock; `repro costgate` re-checks the goldens and the
+//! modeled-cost expectations. Host time is measured by `perfbench`
+//! (`perfbench/`), never by `repro`.
 //!
 //! `--jobs N` shards each experiment's sweep across N worker threads
 //! (default: available parallelism). `--lanes N` sets the lane-pool width
@@ -55,12 +55,12 @@ use std::time::Instant;
 fn usage() -> String {
     format!(
         "usage: repro <artifact|all>... [--quick] [--seed N] [--jobs N] [--lanes N] [--out DIR] \
-         [--scenario FILE] [--wall-clock] [--trace FILE] [--list]\n\
+         [--scenario FILE] [--trace FILE] [--list]\n\
          \x20      repro matrix [--count K] [--mixes LIST|all] [--policies LIST|all]\n\
          \x20      repro scenario validate [DIR]\n\
          \x20      repro trace <artifact>\n\
          \x20      repro explain <artifact>\n\
-         \x20      repro calibrate [--check]\n\
+         \x20      repro calibrate\n\
          \x20      repro costgate [--jobs N]\n\
          artifacts: {}",
         experiments::ALL.join(" ")
@@ -268,60 +268,6 @@ fn calibrate_cmd() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro calibrate --check`: re-measure the probes on *this* host and
-/// report drift against the checked-in weights. Warn-only by design —
-/// wall-clock varies across hosts; only the deterministic counters gate
-/// (see `repro costgate`).
-fn calibrate_check_cmd() -> ExitCode {
-    let model = match fastcap_bench::costmodel::CostModel::embedded() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("embedded COST_MODEL.json is invalid: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rows = match fastcap_bench::costmodel::drift_report(&model) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("drift check failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("# Cost-model drift check (measured wall-clock vs checked-in model)");
-    println!();
-    println!("| probe | measured µs | modeled µs | ratio |");
-    println!("|---|---|---|---|");
-    let mut drifted = 0usize;
-    for (name, wall, modeled, ratio) in &rows {
-        let flag = if *ratio > 2.0 || *ratio < 0.5 {
-            drifted += 1;
-            " (!)"
-        } else {
-            ""
-        };
-        println!(
-            "| {name} | {:.1} | {:.1} | {ratio:.2}x{flag} |",
-            wall / 1_000.0,
-            modeled / 1_000.0
-        );
-    }
-    println!();
-    if drifted > 0 {
-        println!(
-            "warning: {drifted} of {} probe(s) drifted beyond 2x from the checked-in \
-             weights on this host; consider re-running `repro calibrate` (warn-only: \
-             modeled artifacts and the cost gate are unaffected by host speed)",
-            rows.len()
-        );
-    } else {
-        println!(
-            "[{} probe(s) within 2x of the checked-in weights]",
-            rows.len()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 /// `repro costgate`: the deterministic timing gate — golden hashes of the
 /// modeled artifacts plus modeled-cost expectations, all host-independent.
 fn costgate_cmd(jobs: usize, inject: u64) -> ExitCode {
@@ -361,8 +307,6 @@ fn main() -> ExitCode {
     let mut matrix_mixes: Option<String> = None;
     let mut matrix_policies: Option<String> = None;
     let mut matrix_count: Option<usize> = None;
-    // `repro calibrate --check`: drift report instead of refitting.
-    let mut calibrate_check = false;
     // `--trace FILE` / `repro trace <artifact>`: Chrome-trace output path.
     let mut trace_out: Option<PathBuf> = None;
     // `repro costgate --inject-solver-iters N`: regression-injection hook
@@ -373,8 +317,6 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--wall-clock" => opts.wall_clock = true,
-            "--check" => calibrate_check = true,
             "--inject-solver-iters" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(k) => inject_solver_iters = k,
                 None => {
@@ -513,15 +455,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if calibrate_check && targets[0] != "calibrate" {
-        eprintln!("--check is only valid with `repro calibrate`\n{}", usage());
-        return ExitCode::FAILURE;
-    }
     if inject_solver_iters > 0 && targets[0] != "costgate" {
         eprintln!("--inject-solver-iters is only valid with `repro costgate`");
         return ExitCode::FAILURE;
     }
-    // `repro calibrate [--check]` — fit (or drift-check) the cost model.
+    // `repro calibrate` — fit the cost model.
     if targets[0] == "calibrate" {
         if targets.len() > 1 {
             eprintln!(
@@ -531,11 +469,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        return if calibrate_check {
-            calibrate_check_cmd()
-        } else {
-            calibrate_cmd()
-        };
+        return calibrate_cmd();
     }
     // `repro costgate` — deterministic timing gate (goldens + modeled
     // cost expectations); red under an injected regression.
@@ -677,9 +611,9 @@ fn main() -> ExitCode {
         opts.jobs
     );
     // Two-level sharding: artifacts run concurrently on the outer pool
-    // while each one's sweep grid shards across the same worker budget;
-    // wall-clock artifacts run exclusively afterwards. Output (and bytes)
-    // are identical to a serial run — only the wall-clock changes.
+    // while each one's sweep grid shards across the same worker budget.
+    // Output (and bytes) are identical to a serial run — only the
+    // wall-clock changes.
     let ids: Vec<&str> = targets.iter().map(String::as_str).collect();
     let start = Instant::now();
     // CSVs land on disk the moment each artifact completes (from the

@@ -2,16 +2,16 @@
 //! ns/op weights (DESIGN.md §10).
 //!
 //! The timing artifacts (`tab1_*`, `overhead`, the decide-µs column of
-//! `scaling`) historically published host wall-clock, which made them the
-//! sole exemption from the golden-hash determinism contract. This module
-//! retires that exemption: every policy decision path counts its
+//! `scaling`) once published host wall-clock, which made them the sole
+//! exemption from the golden-hash determinism contract. This module
+//! retired that exemption: every policy decision path counts its
 //! operations ([`fastcap_core::cost::CostCounter`]), a one-off
 //! calibration run (`repro calibrate`) fits per-operation ns weights from
 //! wall-clock probes, and the artifacts publish **modeled** microseconds
 //! — counters × checked-in weights — which are byte-identical on any
-//! host, at any `--jobs`, under either event-queue implementation. The
-//! `--wall-clock` flag keeps the measured path available for
-//! EXPERIMENTS.md refreshes.
+//! host, at any `--jobs`, under either event-queue implementation. How
+//! far the weights sit from this host's clock is perfbench's per-layer
+//! `<layer>.wall_over_modeled` (DESIGN.md §10.4).
 //!
 //! `COST_MODEL.json` (repo root, embedded at compile time like the bench
 //! baselines) holds the fitted weights plus per-probe **expectations**:
@@ -558,24 +558,6 @@ pub fn calibrate() -> Result<CostModel> {
         weights,
         expectations,
     })
-}
-
-/// Host-drift report for `repro calibrate --check`: re-measures every
-/// wall-clock probe and returns `(name, measured ns, modeled ns, ratio)`
-/// rows against the checked-in weights. Warn-only in CI — host variance
-/// is expected; only the deterministic counters gate.
-///
-/// # Errors
-///
-/// Propagates probe failures.
-pub fn drift_report(model: &CostModel) -> Result<Vec<(String, f64, f64, f64)>> {
-    Ok(wall_probes()?
-        .into_iter()
-        .map(|(name, c, wall)| {
-            let modeled = model.weights.modeled_ns(&c);
-            (name, wall, modeled, wall / modeled.max(1e-9))
-        })
-        .collect())
 }
 
 /// Runs the cost gate: re-hash the three modeled timing artifacts against

@@ -3,7 +3,10 @@
 //! work as a [`crate::sweep::Sweep`] (sharded across `--jobs` workers,
 //! deterministic at any worker count — see DESIGN.md §5), and reduces
 //! the index-ordered point results into tables; the `repro` binary
-//! dispatches on artifact id and prints/writes whatever comes back.
+//! dispatches on artifact id and prints/writes whatever comes back. No
+//! artifact table reads the host clock: the latency columns of `tab1`,
+//! `overhead` and `scaling` are modeled cost (DESIGN.md §10), so every
+//! table is byte-identical at any `--jobs` and golden-pinned.
 
 pub mod ablation;
 pub mod bias_ablation;
@@ -71,15 +74,6 @@ pub const ALL: &[&str] = &[
     "fleet_scale",
 ];
 
-/// Artifacts whose latency columns read the host wall clock **when
-/// `--wall-clock` is in force** (Table I, the overhead table, the
-/// decide-µs column of `scaling`). In that mode their sweeps pin to one
-/// worker, and at the artifact level they additionally run *exclusively*
-/// (after all concurrent artifacts finish), so co-running simulations
-/// cannot inflate the measured latencies. In the default modeled mode
-/// they are ordinary deterministic artifacts and shard normally.
-pub const WALL_CLOCK: &[&str] = &["tab1", "overhead", "scaling"];
-
 /// Dispatches one artifact id to its runner.
 ///
 /// # Errors
@@ -135,14 +129,12 @@ pub struct ArtifactRun {
 ///
 /// Results come back **in input order**, and every artifact's bytes are
 /// identical to a serial `run` at the same seed (sweeps are jobs- and
-/// schedule-invariant; see DESIGN.md §5). Under `--wall-clock`, the
-/// timing artifacts ([`WALL_CLOCK`]) are held back and run exclusively,
-/// in input order, after the concurrent batch.
+/// schedule-invariant; see DESIGN.md §5).
 ///
 /// Returns every artifact that completed plus the lowest-indexed
 /// *observed* failure, if any — so a late failure in a long `repro all`
 /// does not discard hours of finished tables. A failure stops unstarted
-/// artifacts (including the wall-clock batch) from launching.
+/// artifacts from launching.
 /// `on_complete` fires for each artifact as it finishes (completion
 /// order, possibly from worker threads): persist results there — e.g.
 /// write CSVs to disk — so even a panic in a later runner cannot discard
@@ -152,10 +144,7 @@ pub fn run_many(
     opts: &Opts,
     on_complete: impl Fn(&ArtifactRun) + Send + Sync,
 ) -> (Vec<ArtifactRun>, Option<fastcap_core::error::Error>) {
-    let concurrent: Vec<usize> = (0..ids.len())
-        .filter(|&i| !(opts.wall_clock && WALL_CLOCK.contains(&ids[i])))
-        .collect();
-    let outer = opts.jobs.max(1).min(concurrent.len().max(1));
+    let outer = opts.jobs.max(1).min(ids.len().max(1));
     // Every outer worker carries one implicit token; the rest start as
     // spare, borrowed by inner sweeps as their artifacts' parallelism
     // allows. Once fewer artifacts remain in flight than there are
@@ -171,11 +160,11 @@ pub fn run_many(
     };
     let failed = AtomicBool::new(false);
     let completed = std::sync::atomic::AtomicUsize::new(0);
-    let slots = rayon::par_map_indexed(outer, concurrent.len(), |i| {
+    let slots = rayon::par_map_indexed(outer, ids.len(), |i| {
         if failed.load(Ordering::Relaxed) {
             return None;
         }
-        let id = ids[concurrent[i]];
+        let id = ids[i];
         let start = Instant::now();
         let r = run(id, &inner_opts);
         if r.is_err() {
@@ -188,7 +177,7 @@ pub fn run_many(
             Err(e) => eprintln!("[{id}: FAILED after {elapsed:.1}s: {e}]"),
         }
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if outer + done > concurrent.len() {
+        if outer + done > ids.len() {
             budget.put(1);
         }
         match r {
@@ -205,50 +194,21 @@ pub fn run_many(
         }
     });
 
-    let mut by_index: Vec<Option<ArtifactRun>> = (0..ids.len()).map(|_| None).collect();
+    let mut runs = Vec::with_capacity(ids.len());
     let mut first_err = None;
-    for (slot, &at) in slots.into_iter().zip(&concurrent) {
+    for (slot, &id) in slots.into_iter().zip(ids) {
         match slot {
-            Some(Ok(run)) => {
-                by_index[at] = Some(run);
-            }
+            Some(Ok(run)) => runs.push(run),
             Some(Err(e)) if first_err.is_none() => {
                 // Name the failing artifact: with many concurrent runners
                 // the bare model error does not say which one died.
                 first_err = Some(fastcap_core::error::Error::InvalidConfig {
                     what: "artifact",
-                    why: format!("{}: {e}", ids[at]),
+                    why: format!("{id}: {e}"),
                 });
             }
             _ => {}
         }
     }
-
-    // Wall-clock artifacts (only in `--wall-clock` mode): exclusive,
-    // serial, in input order; skipped once anything has failed.
-    for (at, &id) in ids.iter().enumerate() {
-        if !(opts.wall_clock && WALL_CLOCK.contains(&id)) || first_err.is_some() {
-            continue;
-        }
-        let start = Instant::now();
-        match run(id, opts) {
-            Ok(tables) => {
-                let done = ArtifactRun {
-                    id: id.to_string(),
-                    tables,
-                    elapsed: start.elapsed().as_secs_f64(),
-                };
-                on_complete(&done);
-                by_index[at] = Some(done);
-            }
-            Err(e) => {
-                first_err = Some(fastcap_core::error::Error::InvalidConfig {
-                    what: "artifact",
-                    why: format!("{id}: {e}"),
-                });
-            }
-        }
-    }
-
-    (by_index.into_iter().flatten().collect(), first_err)
+    (runs, first_err)
 }

@@ -5,38 +5,17 @@
 //! with the core count (0.7% / 1.3% / 2.7% of the epoch). Absolute numbers
 //! depend on the host; the *linearity* is the claim to check.
 //!
-//! By default the latency column is **modeled**: decision-path operation
-//! counts priced by the calibrated `COST_MODEL.json` weights (DESIGN.md
-//! §10), making the artifact byte-deterministic and golden-pinned.
-//! `--wall-clock` restores the measured variant for EXPERIMENTS.md.
+//! The latency column is **modeled**: decision-path operation counts
+//! priced by the calibrated `COST_MODEL.json` weights (DESIGN.md §10),
+//! making the artifact byte-deterministic and golden-pinned. Host time of
+//! FastCap's decide in a closed loop is perfbench's `decide_mean_us`
+//! (DESIGN.md §10.4).
 
 use crate::costmodel;
 use crate::harness::{synthetic_controller_config, synthetic_observation, Opts, PolicyKind};
-use crate::sweep::Sweep;
 use crate::table::{f2, pct, ResultTable};
 use fastcap_core::capper::FastCapController;
 use fastcap_core::error::Result;
-use std::time::Instant;
-
-/// Measures the mean decide() latency over `iters` calls.
-///
-/// # Errors
-///
-/// Propagates controller construction failures.
-pub fn measure_decide_micros(n_cores: usize, iters: u32) -> Result<f64> {
-    let cfg = synthetic_controller_config(n_cores, 0.6)?;
-    let mut ctl = FastCapController::new(cfg)?;
-    let obs = synthetic_observation(n_cores);
-    // Warm up fitters and caches.
-    for _ in 0..10 {
-        ctl.decide(&obs)?;
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(ctl.decide(&obs)?);
-    }
-    Ok(start.elapsed().as_secs_f64() * 1e6 / iters as f64)
-}
 
 /// Number of candidate bus points Algorithm 1 touches for the synthetic
 /// observation at this core count (the binary search visits 3–7 of the `M`
@@ -61,45 +40,22 @@ pub fn points_evaluated(n_cores: usize) -> Result<usize> {
     Ok(algorithm1(&model, &cands)?.points_evaluated)
 }
 
-/// Runs the experiment. Modeled mode (the default) prices deterministic
-/// decision-path counters with the checked-in weights — no clock, no
-/// sweep needed. `--wall-clock` mode runs a **timing** sweep (serial
-/// regardless of `--jobs`) over the three core counts. The "scaling vs
-/// 16 cores" column is computed in the reduce step either way.
+/// Runs the experiment: prices deterministic decision-path counters with
+/// the checked-in weights — no clock, no sweep needed.
 ///
 /// # Errors
 ///
 /// Propagates measurement failures.
-pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
-    let measured: Vec<(usize, f64, usize)> = if opts.wall_clock {
-        let iters = if opts.quick { 2_000 } else { 20_000 };
-        let mut sweep = Sweep::timing();
-        for n in [16usize, 32, 64] {
-            sweep.push(move |_| {
-                let us = measure_decide_micros(n, iters)?;
-                let points = points_evaluated(n)?;
-                Ok((n, us, points))
-            });
-        }
-        sweep.run(opts)?
-    } else {
-        let mut rows = Vec::new();
-        for n in [16usize, 32, 64] {
-            let us =
-                costmodel::modeled_decide_micros(PolicyKind::FastCap, n, costmodel::DECIDE_REPS)?;
-            rows.push((n, us, points_evaluated(n)?));
-        }
-        rows
-    };
+pub fn run(_opts: &Opts) -> Result<Vec<ResultTable>> {
+    let mut measured = Vec::new();
+    for n in [16usize, 32, 64] {
+        let us = costmodel::modeled_decide_micros(PolicyKind::FastCap, n, costmodel::DECIDE_REPS)?;
+        measured.push((n, us, points_evaluated(n)?));
+    }
 
-    let title = if opts.wall_clock {
-        "FastCap decide() wall-clock latency (paper: 33.5/64.9/133.5 µs at 16/32/64 cores)"
-    } else {
-        "FastCap decide() modeled cost (paper wall-clock: 33.5/64.9/133.5 µs at 16/32/64 cores)"
-    };
     let mut t = ResultTable::new(
         "overhead",
-        title,
+        "FastCap decide() modeled cost (paper wall-clock: 33.5/64.9/133.5 µs at 16/32/64 cores)",
         &[
             "cores",
             "mean latency (µs)",

@@ -6,10 +6,13 @@
 //! The paper argues FastCap's `O(N log M)` complexity is what makes
 //! many-core capping viable; this experiment shows the *quality* also
 //! holds: budget adherence and fairness are flat in `N`, and decide()
-//! latency stays far below the 5 ms epoch.
+//! latency stays far below the 5 ms epoch. The decide-µs column is
+//! modeled cost (DESIGN.md §10), so the whole table is golden-pinned;
+//! perfbench's `manycore-256` workload measures the 256-core decide on
+//! the host.
 
 use crate::harness::Opts;
-use crate::sweep::{par_sweep, Sweep};
+use crate::sweep::par_sweep;
 use crate::table::{f2, f3, pct, ResultTable};
 use fastcap_core::error::Result;
 use fastcap_core::fairness;
@@ -21,10 +24,8 @@ const CORE_COUNTS: [usize; 5] = [16, 32, 64, 128, 256];
 
 /// Runs the experiment. A parallel sweep over the core-count ladder for
 /// the closed-loop quality metrics (the expensive analytic simulations),
-/// plus the decide-µs column: **modeled** cost by default (operation
-/// counts × `COST_MODEL.json` weights — byte-deterministic at any
-/// `--jobs`), or a serial **timing** sweep under `--wall-clock` so
-/// co-running work cannot inflate the measured latencies.
+/// plus the decide-µs column: **modeled** cost (operation counts ×
+/// `COST_MODEL.json` weights — byte-deterministic at any `--jobs`).
 ///
 /// # Errors
 ///
@@ -55,37 +56,18 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
         ])
     })?;
 
-    let latencies: Vec<f64> = if opts.wall_clock {
-        let mut timing = Sweep::timing();
-        for n in CORE_COUNTS {
-            timing.push(move |_| {
-                crate::experiments::overhead::measure_decide_micros(
-                    n,
-                    if opts.quick { 200 } else { 2_000 },
-                )
-            });
-        }
-        timing.run(opts)?
-    } else {
-        let mut v = Vec::new();
-        for n in CORE_COUNTS {
-            v.push(crate::costmodel::modeled_decide_micros(
-                crate::harness::PolicyKind::FastCap,
-                n,
-                crate::costmodel::DECIDE_REPS,
-            )?);
-        }
-        v
-    };
+    let mut latencies = Vec::new();
+    for n in CORE_COUNTS {
+        latencies.push(crate::costmodel::modeled_decide_micros(
+            crate::harness::PolicyKind::FastCap,
+            n,
+            crate::costmodel::DECIDE_REPS,
+        )?);
+    }
 
-    let title = if opts.wall_clock {
-        "Closed-loop FastCap from 16 to 256 cores (analytic backend, MIX2, B = 60%; wall-clock decide µs)"
-    } else {
-        "Closed-loop FastCap from 16 to 256 cores (analytic backend, MIX2, B = 60%; modeled decide µs)"
-    };
     let mut t = ResultTable::new(
         "scaling",
-        title,
+        "Closed-loop FastCap from 16 to 256 cores (analytic backend, MIX2, B = 60%; modeled decide µs)",
         &[
             "cores",
             "avg power / budget",

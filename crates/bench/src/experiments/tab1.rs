@@ -1,51 +1,25 @@
-//! Table I: time-complexity comparison — measured scaling of FastCap's
+//! Table I: time-complexity comparison — modeled scaling of FastCap's
 //! `O(N log M)` search versus MaxBIPS's `O(Fᴺ·M)` exhaustive search, plus
 //! the theoretical rows for approaches we reproduce only analytically.
 //!
-//! The latency columns are **modeled** by default (operation counts ×
-//! `COST_MODEL.json` weights, DESIGN.md §10) so both measured tables are
-//! byte-deterministic and golden-pinned; `--wall-clock` restores the
-//! timed variant for EXPERIMENTS.md refreshes.
+//! The latency columns are **modeled** (operation counts ×
+//! `COST_MODEL.json` weights, DESIGN.md §10), so both measured tables are
+//! byte-deterministic and golden-pinned. Host time of FastCap's decide in
+//! a closed loop is perfbench's `decide_mean_us` (DESIGN.md §10.4).
 
 use crate::costmodel;
-use crate::harness::{synthetic_controller_config, synthetic_observation, Opts, PolicyKind};
-use crate::sweep::Sweep;
+use crate::harness::{Opts, PolicyKind};
 use crate::table::{f2, ResultTable};
-use fastcap_core::capper::FastCapConfig;
 use fastcap_core::error::Result;
-use fastcap_core::units::Watts;
-use fastcap_policies::{CappingPolicy, FastCapPolicy, MaxBipsPolicy};
-use std::time::Instant;
 
-fn time_policy_micros(policy: &mut dyn CappingPolicy, n_cores: usize, iters: u32) -> Result<f64> {
-    let obs = synthetic_observation(n_cores);
-    for _ in 0..3 {
-        policy.decide(&obs)?;
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(policy.decide(&obs)?);
-    }
-    Ok(start.elapsed().as_secs_f64() * 1e6 / iters as f64)
-}
-
-fn small_cfg(n: usize, budget: f64) -> Result<FastCapConfig> {
-    FastCapConfig::builder(n)
-        .budget_fraction(budget)
-        .peak_power(Watts(4.5 * n as f64 + 46.0))
-        .build()
-}
-
-/// Runs the experiment over the FastCap and MaxBIPS core-count ladders.
-/// Modeled mode (the default) counts decision-path operations serially —
-/// byte-deterministic at any `--jobs`. `--wall-clock` mode uses a
-/// **timing** sweep (serial regardless of `--jobs` — co-running
-/// simulations would inflate the measured latencies).
+/// Runs the experiment over the FastCap and MaxBIPS core-count ladders,
+/// counting decision-path operations serially — byte-deterministic at
+/// any `--jobs`.
 ///
 /// # Errors
 ///
 /// Propagates policy construction / measurement failures.
-pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
+pub fn run(_opts: &Opts) -> Result<Vec<ResultTable>> {
     let mut theory = ResultTable::new(
         "tab1_theory",
         "Table I — complexity of capping approaches",
@@ -64,76 +38,27 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
         theory.push_row(vec![m.into(), c.into(), d.into()]);
     }
 
-    // Measured/modeled: FastCap scaling should be ~linear in N.
-    let fast_rows: Vec<Vec<String>> = if opts.wall_clock {
-        let iters = if opts.quick { 1_000 } else { 10_000 };
-        let mut fast_sweep = Sweep::timing();
-        for n in [16usize, 32, 64, 128, 256] {
-            fast_sweep.push(move |_| {
-                let mut p = FastCapPolicy::new(synthetic_controller_config(n, 0.6)?)?;
-                let us = time_policy_micros(&mut p, n, iters)?;
-                Ok(vec![n.to_string(), f2(us), format!("{:.3}", us / n as f64)])
-            });
-        }
-        fast_sweep.run(opts)?
-    } else {
-        let mut rows = Vec::new();
-        for n in [16usize, 32, 64, 128, 256] {
-            let us =
-                costmodel::modeled_decide_micros(PolicyKind::FastCap, n, costmodel::DECIDE_REPS)?;
-            rows.push(vec![n.to_string(), f2(us), format!("{:.3}", us / n as f64)]);
-        }
-        rows
-    };
-    let fast_title = if opts.wall_clock {
-        "Measured FastCap decide() latency vs core count (expect linear)"
-    } else {
-        "Modeled FastCap decide() cost vs core count (expect linear)"
-    };
+    // FastCap scaling should be ~linear in N.
     let mut fast = ResultTable::new(
         "tab1_fastcap",
-        fast_title,
+        "Modeled FastCap decide() cost vs core count (expect linear)",
         &["cores", "µs per decide", "µs per core"],
     );
-    for row in fast_rows {
-        fast.push_row(row);
+    for n in [16usize, 32, 64, 128, 256] {
+        let us = costmodel::modeled_decide_micros(PolicyKind::FastCap, n, costmodel::DECIDE_REPS)?;
+        fast.push_row(vec![n.to_string(), f2(us), format!("{:.3}", us / n as f64)]);
     }
 
-    // Measured/modeled: MaxBIPS explodes with N (F^N·M grid).
-    let mb_rows: Vec<Vec<String>> = if opts.wall_clock {
-        let mut mb_sweep = Sweep::timing();
-        for n in [1usize, 2, 3, 4] {
-            mb_sweep.push(move |_| {
-                let iters_mb = if n >= 4 { 3 } else { 50 };
-                let mut p = MaxBipsPolicy::new(small_cfg(n, 0.6)?)?;
-                let us = time_policy_micros(&mut p, n, iters_mb)?;
-                let grid = 10f64.powi(n as i32) * 10.0;
-                Ok(vec![n.to_string(), format!("{grid:.0}"), f2(us)])
-            });
-        }
-        mb_sweep.run(opts)?
-    } else {
-        let mut rows = Vec::new();
-        for n in [1usize, 2, 3, 4] {
-            let us =
-                costmodel::modeled_decide_micros(PolicyKind::MaxBips, n, costmodel::MAXBIPS_REPS)?;
-            let grid = 10f64.powi(n as i32) * 10.0;
-            rows.push(vec![n.to_string(), format!("{grid:.0}"), f2(us)]);
-        }
-        rows
-    };
-    let mb_title = if opts.wall_clock {
-        "Measured MaxBIPS decide() latency vs core count (expect exponential)"
-    } else {
-        "Modeled MaxBIPS decide() cost vs core count (expect exponential)"
-    };
+    // MaxBIPS explodes with N (F^N·M grid).
     let mut mb = ResultTable::new(
         "tab1_maxbips",
-        mb_title,
+        "Modeled MaxBIPS decide() cost vs core count (expect exponential)",
         &["cores", "grid points (F^N·M)", "µs per decide"],
     );
-    for row in mb_rows {
-        mb.push_row(row);
+    for n in [1usize, 2, 3, 4] {
+        let us = costmodel::modeled_decide_micros(PolicyKind::MaxBips, n, costmodel::MAXBIPS_REPS)?;
+        let grid = 10f64.powi(n as i32) * 10.0;
+        mb.push_row(vec![n.to_string(), format!("{grid:.0}"), f2(us)]);
     }
 
     Ok(vec![theory, fast, mb])

@@ -1,7 +1,8 @@
 //! Shared experiment machinery: policy construction, baseline/capped run
-//! pairs, and observation synthesis for algorithm microbenchmarks. The
-//! sweep execution engine that shards these runs across `--jobs` worker
-//! threads lives in [`crate::sweep`].
+//! pairs, and observation synthesis for the algorithm-only probes (Table
+//! I, `overhead`, the cost-model probes). The sweep execution engine that
+//! shards these runs across `--jobs` worker threads lives in
+//! [`crate::sweep`].
 
 use fastcap_core::capper::FastCapConfig;
 use fastcap_core::counters::{CoreSample, EpochObservation, MemorySample};
@@ -36,12 +37,6 @@ pub struct Opts {
     /// Scenario-file override for the `scn_*` artifacts (`--scenario`).
     /// `None` runs each artifact's checked-in default scenario.
     pub scenario: Option<PathBuf>,
-    /// Publish measured wall-clock in the timing artifacts (`tab1_*`,
-    /// `overhead`, `scaling`) instead of the deterministic modeled cost
-    /// (`--wall-clock`). Off by default: modeled artifacts are
-    /// golden-pinned and byte-identical on any host; the wall-clock
-    /// variants exist to refresh EXPERIMENTS.md numbers.
-    pub wall_clock: bool,
     /// Physical lane-pool width per simulation (`--lanes`). Artifact bytes
     /// are independent of this value (determinism contract v2, DESIGN.md
     /// §11); only wall-clock changes. `None` picks a default: available
@@ -60,7 +55,6 @@ impl Default for Opts {
             out_dir: PathBuf::from("results"),
             budget: None,
             scenario: None,
-            wall_clock: false,
             lanes: None,
         }
     }
@@ -371,9 +365,9 @@ pub fn avg_worst(degradations: &[f64]) -> Result<(f64, f64)> {
     Ok((avg, worst))
 }
 
-/// Synthesizes a plausible `N`-core observation for algorithm-only
-/// microbenchmarks (Table I scaling, overhead table, Criterion benches) —
-/// no simulator in the loop, mixed CPU/memory-bound cores.
+/// Synthesizes a plausible `N`-core observation for algorithm-only probes
+/// (Table I, the overhead table, the cost-model probes) — no simulator in
+/// the loop, mixed CPU/memory-bound cores.
 pub fn synthetic_observation(n_cores: usize) -> EpochObservation {
     let cores = (0..n_cores)
         .map(|i| CoreSample {
@@ -402,7 +396,7 @@ pub fn synthetic_observation(n_cores: usize) -> EpochObservation {
     )
 }
 
-/// The controller configuration used for synthetic-observation benchmarks.
+/// The controller configuration used for synthetic-observation probes.
 ///
 /// # Errors
 ///

@@ -4,12 +4,12 @@
 //! FastCap evaluation (ISPASS 2016, Sec. IV). See DESIGN.md §3 for the
 //! experiment index and EXPERIMENTS.md for paper-vs-measured shapes.
 //!
-//! Two entry points:
-//!
-//! * the `repro` binary — `cargo run -p fastcap-bench --release --bin repro
-//!   -- <artifact|all> [--quick] [--seed N] [--jobs N] [--out DIR]`;
-//! * Criterion benches (`alg_scaling`, `policy_overhead`, `solver`,
-//!   `sim_engine`) for the latency/complexity claims.
+//! The entry point is the `repro` binary — `cargo run -p fastcap-bench
+//! --release --bin repro -- <artifact|all> [--quick] [--seed N] [--jobs N]
+//! [--out DIR]`. Its timing columns are modeled cost ([`costmodel`]), so
+//! every artifact is byte-deterministic. Host time is measured in one
+//! place only: the `perfbench` package (`perfbench/`), end to end and per
+//! layer (DESIGN.md §10.4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

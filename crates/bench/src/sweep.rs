@@ -19,11 +19,8 @@
 //!   trace (e.g. the same mix swept over budgets) opt into a common
 //!   stream with [`Sweep::push_with_stream`].
 //!
-//! Timing experiments (Table I, `overhead`, the decide-µs column of
-//! `scaling`) measure wall-clock latency and would be distorted by
-//! co-running simulations; they declare themselves with
-//! [`Sweep::timing`], which pins execution to one worker regardless of
-//! `--jobs`.
+//! No point reads the host clock — the timing artifacts price operation
+//! counts (DESIGN.md §10) — so every sweep shards freely.
 
 use crate::harness::Opts;
 use fastcap_core::error::Result;
@@ -99,29 +96,15 @@ pub struct SweepPoint<'a, T> {
     run: Box<dyn Fn(PointCtx) -> Result<T> + Send + Sync + 'a>,
 }
 
-/// An ordered list of independent work items plus the execution policy.
+/// An ordered list of independent work items.
 pub struct Sweep<'a, T> {
     points: Vec<SweepPoint<'a, T>>,
-    timing: bool,
 }
 
 impl<'a, T: Send> Sweep<'a, T> {
     /// An empty parallel sweep.
     pub fn new() -> Self {
-        Self {
-            points: Vec::new(),
-            timing: false,
-        }
-    }
-
-    /// An empty **serial** sweep for wall-clock measurements: runs on one
-    /// worker regardless of `--jobs`, so co-scheduled simulation work
-    /// cannot inflate measured latencies.
-    pub fn timing() -> Self {
-        Self {
-            points: Vec::new(),
-            timing: true,
-        }
+        Self { points: Vec::new() }
     }
 
     /// Number of points declared so far.
@@ -171,15 +154,6 @@ impl<'a, T: Send> Sweep<'a, T> {
     ///
     /// Propagates the lowest-indexed observed point failure.
     pub fn run(&self, opts: &Opts) -> Result<Vec<T>> {
-        if self.timing {
-            return self.collect(self.run_span(
-                1,
-                opts,
-                0,
-                self.points.len(),
-                &AtomicBool::new(false),
-            ));
-        }
         let Some(budget) = &opts.budget else {
             let failed = AtomicBool::new(false);
             let jobs = opts.jobs.max(1);
@@ -419,15 +393,6 @@ mod tests {
         // the rest are never started.
         let ran = executed.load(Ordering::Relaxed);
         assert!(ran < 50, "expected early abort, but {ran}/100 points ran");
-    }
-
-    #[test]
-    fn timing_sweeps_run_even_with_many_jobs() {
-        let mut s = Sweep::timing();
-        for i in 0..4usize {
-            s.push(move |_| Ok(i));
-        }
-        assert_eq!(s.run(&opts_with_jobs(8)).unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]

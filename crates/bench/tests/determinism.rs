@@ -114,9 +114,7 @@ fn jobs_flag_round_trips_through_help() {
 fn run_many_is_schedule_invariant_and_input_ordered() {
     // Two-level sharding (artifacts × grid points) must return results in
     // input order with bytes identical to one-at-a-time serial runs, for
-    // any worker count — including with a wall-clock artifact mixed in,
-    // which runs exclusively after the concurrent batch yet still comes
-    // back in its input position.
+    // any worker count — the modeled timing table (tab1) included.
     let ids = ["fig4", "tab1", "fig3"];
     let runs_at = |jobs: usize| {
         let opts = Opts {
@@ -144,11 +142,6 @@ fn run_many_is_schedule_invariant_and_input_ordered() {
     );
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.tables.len(), p.tables.len(), "{}", s.id);
-        // Wall-clock tables (tab1) measure host latency and differ
-        // between any two runs; everything else must be byte-identical.
-        if experiments::WALL_CLOCK.contains(&s.id.as_str()) {
-            continue;
-        }
         for (st, pt) in s.tables.iter().zip(&p.tables) {
             assert_eq!(
                 st.to_csv(),

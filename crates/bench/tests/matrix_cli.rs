@@ -1,6 +1,6 @@
-//! `repro matrix` regression: CLI conventions (bad subset/seed/jobs exit
-//! non-zero with usage), byte-identical summaries at `--jobs 1` vs
-//! `--jobs 8`, and the in-process table shapes.
+//! `repro matrix` regression: CLI conventions (bad subset/seed/jobs and
+//! removed flags exit 1 with usage), byte-identical summaries at
+//! `--jobs 1` vs `--jobs 8`, and the in-process table shapes.
 
 use fastcap_bench::experiments::scn_matrix::{run_matrix, MatrixSpec};
 use fastcap_bench::harness::Opts;
@@ -54,11 +54,15 @@ fn bad_matrix_input_exits_nonzero_with_usage() {
         &["fig3", "--count", "2"][..],
         &["scenario", "validate", "--count", "2"][..],
         &["matrix", "--scenario", "scenarios/scn_capstep.json"][..],
+        // Removed flags: host timing lives in perfbench, not in repro.
+        &["tab1", "--wall-clock"][..],
+        &["calibrate", "--check"][..],
     ] {
         let out = run_repro(args);
-        assert!(
-            !out.status.success(),
-            "{args:?} must exit non-zero, got {:?}",
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?} must exit 1, got {:?}",
             out.status
         );
         let stderr = String::from_utf8(out.stderr).unwrap();

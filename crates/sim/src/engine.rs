@@ -480,8 +480,7 @@ impl EventQueue {
 
 /// The pre-overhaul `BinaryHeap` event queue, kept as the reference
 /// implementation: property tests drive [`EventQueue`] against it to pin
-/// the `(time, FIFO-seq)` pop order, and the `sim_engine` bench reports
-/// both so the queue swap's effect stays measurable.
+/// the `(time, FIFO-seq)` pop order.
 #[derive(Debug, Default)]
 pub struct HeapQueue {
     heap: BinaryHeap<Reverse<(Ps, u64, Event)>>,

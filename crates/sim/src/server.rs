@@ -264,8 +264,9 @@ impl Server {
         self.epoch_index
     }
 
-    /// Total events scheduled since construction — the denominator for
-    /// per-event cost in the `sim_engine` bench and DESIGN.md §6.
+    /// Total events scheduled since construction — the backend's work
+    /// unit (`EpochBackend::ops`) and the `event_push` term of
+    /// [`Self::cost`].
     pub fn events_scheduled(&self) -> u64 {
         self.queue.scheduled()
     }

@@ -2,9 +2,12 @@
 //! cores, multiple memory controllers with skewed interleaving, and larger
 //! core counts (the Fig. 12/13 configurations).
 
+use fastcap_bench::harness::{synthetic_controller_config, synthetic_observation};
+use fastcap_core::capper::FastCapController;
 use fastcap_policies::{CappingPolicy, FastCapPolicy};
 use fastcap_sim::{Interleaving, RunResult, Server, SimConfig};
 use fastcap_workloads::mixes;
+use std::time::Instant;
 
 fn capped(cfg: &SimConfig, mix: &str, budget: f64, epochs: usize, seed: u64) -> RunResult {
     let ctl_cfg = cfg.controller_config(budget).unwrap();
@@ -18,6 +21,22 @@ fn baseline(cfg: &SimConfig, mix: &str, epochs: usize, seed: u64) -> RunResult {
     let mix = mixes::by_name(mix).unwrap();
     let mut server = Server::for_workload(cfg.clone(), &mix, seed).unwrap();
     server.run(epochs, |_| None)
+}
+
+/// Mean wall-clock µs of one FastCap decide() on the synthetic `n_cores`
+/// observation, over `iters` calls after a 10-decide warm-up.
+fn measure_decide_micros(n_cores: usize, iters: u32) -> f64 {
+    let cfg = synthetic_controller_config(n_cores, 0.6).unwrap();
+    let mut ctl = FastCapController::new(cfg).unwrap();
+    let obs = synthetic_observation(n_cores);
+    for _ in 0..10 {
+        ctl.decide(&obs).unwrap();
+    }
+    let start = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(ctl.decide(&obs).unwrap());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 #[test]
@@ -124,9 +143,8 @@ fn thirty_two_and_sixty_four_cores_hold_the_budget() {
 fn overhead_scales_roughly_linearly_in_cores() {
     // Table I / Sec. IV-B: decide() is O(N log M). Allow generous slack for
     // timer noise: 4x the cores must cost less than 10x the time.
-    use fastcap_bench::experiments::overhead::measure_decide_micros;
-    let t16 = measure_decide_micros(16, 600).unwrap();
-    let t64 = measure_decide_micros(64, 600).unwrap();
+    let t16 = measure_decide_micros(16, 600);
+    let t64 = measure_decide_micros(64, 600);
     assert!(
         t64 / t16 < 10.0,
         "decide() scaling 16->64 cores: {t16:.1}µs -> {t64:.1}µs"
