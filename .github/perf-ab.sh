@@ -6,9 +6,11 @@
 # Builds perfbench at BASE_REV (in a temporary git worktree) and at the
 # checked-out tree, then runs 3 alternating base/head pairs of 5-s
 # untraced runs of each workload below on this machine. It fails when a
-# head run is not `correct` or has failed operations, or when the head's
+# head run is not `correct` or has failed operations, when the head's
 # median `epochs_per_s` is below the base's by more than the bound
-# BENCHMARK.json gives that metric. The head build is the one
+# BENCHMARK.json gives that metric, or when the head's median
+# `peak_rss_mb` is above the base's by more than that metric's bound.
+# The head build is the one
 # `cargo run --release --offline --manifest-path perfbench/Cargo.toml`
 # makes, so a tree that has already run perfbench is not rebuilt.
 #
@@ -19,7 +21,7 @@ set -euo pipefail
 
 base_rev=${1:?usage: .github/perf-ab.sh BASE_REV}
 out=perf-ab
-workloads=(scn-matrix manycore-256)
+workloads=(scn-matrix manycore-256 fleet-settle)
 pairs=3
 seconds=5
 
@@ -59,23 +61,27 @@ python3 - "$out" "${workloads[@]}" <<'EOF' | tee "$out/summary.txt"
 import json, statistics, sys
 
 out, workloads = sys.argv[1], sys.argv[2:]
-bound = next(m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]
-             if m["name"] == "epochs_per_s")
+bounds = {m["name"]: m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 ok = True
 for w in workloads:
     runs = {b: [json.loads(l) for l in open(f"{out}/{b}-{w}.jsonl")]
             for b in ("base", "head")}
-    med = {b: statistics.median(r["metrics"]["epochs_per_s"]["value"] for r in rs)
-           for b, rs in runs.items()}
-    ratio = med["head"] / med["base"]
+    def ratio(metric):
+        med = {b: statistics.median(r["metrics"][metric]["value"] for r in rs)
+               for b, rs in runs.items()}
+        return med["base"], med["head"], med["head"] / med["base"]
+    speed, rss = ratio("epochs_per_s"), ratio("peak_rss_mb")
     bad = sum(r["correct"] is not True or r["failed"] != 0 for r in runs["head"])
     verdict = "ok"
     if bad:
         verdict = f"FAIL: {bad} head run(s) not correct or with failed operations"
-    elif ratio < 1 - bound:
-        verdict = f"FAIL: below the {1 - bound:.2f} floor"
+    elif speed[2] < 1 - bounds["epochs_per_s"]:
+        verdict = f"FAIL: epochs_per_s below the {1 - bounds['epochs_per_s']:.2f} floor"
+    elif rss[2] > 1 + bounds["peak_rss_mb"]:
+        verdict = f"FAIL: peak_rss_mb above the {1 + bounds['peak_rss_mb']:.2f} ceiling"
     ok = ok and verdict == "ok"
-    print(f"{w}: epochs_per_s median base {med['base']:.1f} head {med['head']:.1f} "
-          f"ratio {ratio:.3f} ({verdict})")
+    print(f"{w}: epochs_per_s median base {speed[0]:.1f} head {speed[1]:.1f} "
+          f"ratio {speed[2]:.3f}; peak_rss_mb median base {rss[0]:.2f} head {rss[1]:.2f} "
+          f"ratio {rss[2]:.3f} ({verdict})")
 sys.exit(0 if ok else 1)
 EOF

@@ -51,12 +51,12 @@ pub const GATE_TOLERANCE: f64 = 0.05;
 /// (`repro tab1 overhead scaling --quick --seed 42`, any `--jobs`).
 /// Shared between the golden byte-equality test and `repro costgate`.
 pub const TIMING_GOLDENS: &[(&str, u64)] = &[
-    ("overhead.csv", 0xf406_1516_6698_70ee),
-    ("overhead.json", 0xb138_71ef_ba98_fda0),
-    ("scaling.csv", 0x3c5a_5d26_5e8b_e7e8),
-    ("scaling.json", 0x2b7d_8d9a_7e2e_4de9),
-    ("tab1_fastcap.csv", 0xa1a7_fe9b_cdc0_ec71),
-    ("tab1_fastcap.json", 0x05ca_d2da_c1fc_bce9),
+    ("overhead.csv", 0xf9da_6b83_c20f_b211),
+    ("overhead.json", 0xa2dd_622d_24da_314d),
+    ("scaling.csv", 0xa6fb_bf2c_3521_ad2e),
+    ("scaling.json", 0x0905_8471_132c_80cb),
+    ("tab1_fastcap.csv", 0x852e_a297_64e5_eb8e),
+    ("tab1_fastcap.json", 0x0441_b098_967b_e552),
     ("tab1_maxbips.csv", 0xcca7_0008_739d_019d),
     ("tab1_maxbips.json", 0xc0ba_2abe_6b6a_8cdf),
     ("tab1_theory.csv", 0x411e_88d2_9d99_aef9),

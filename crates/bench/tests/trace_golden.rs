@@ -37,10 +37,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// trace-format change means event order, the modeled clock, or a
 /// decision record drifted. (Both moved when the model-predictive
 /// skeleton gave the baselines a bootstrap, warm carry and the
-/// controller's reported trim.)
+/// controller's reported trim, and again when the Newton-certified
+/// bisection cut the counted solver work: only `ts`, `dur`,
+/// `solver_iters` and `decide_ns` changed.)
 const TRACE_GOLDEN: &[(&str, u64)] = &[
-    ("scn_capstep.trace.json", 0x286b_c4eb_3647_d995),
-    ("scn_hotplug.trace.json", 0xe037_df9c_0cba_9fe5),
+    ("scn_capstep.trace.json", 0x8077_2259_8e65_7a5d),
+    ("scn_hotplug.trace.json", 0xbb92_ae54_d9e4_c4eb),
 ];
 
 fn run_repro(args: &[&str]) {

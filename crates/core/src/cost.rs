@@ -47,9 +47,10 @@ pub struct CostCounter {
     pub rng_draws: u64,
     /// Power-model fitter updates (one per `PowerSample` observed).
     pub fitter_updates: u64,
-    /// Solver inner-loop iterations: per-core terms evaluated inside
-    /// Algorithm 1's bisection (or the analytic backend's fixed-point
-    /// solver).
+    /// Solver inner-loop iterations: per-core terms evaluated by
+    /// Algorithm 1's inner solve, its Newton search and the midpoints of
+    /// its bisection that the Newton root leaves open (or by the analytic
+    /// backend's fixed-point solver).
     pub solver_iters: u64,
     /// Candidate bus points evaluated by the optimizer's outer search.
     pub bus_evals: u64,

@@ -18,31 +18,39 @@
 //!
 //! so that, for a *fixed* bus transfer time `s_b`, the only unknown is the
 //! scalar `D`: substituting Eq. 8 into the power equality gives one monotone
-//! scalar equation, solved here by bisection in `O(N)` per candidate
-//! ([`solve_for_bus_time`]). Because the problem is convex, `D*(s_b)` is
-//! unimodal over the ordered candidate array, and Algorithm 1 finds the
-//! global optimum with a binary search over the `M` memory frequencies —
-//! total cost `O(N log M)` ([`algorithm1`]). [`exhaustive`] scans all `M`
-//! candidates and exists purely as a correctness oracle.
+//! scalar equation. [`solve_for_bus_time`] pins its root with a fixed
+//! bisection whose midpoints are settled, all but a few, by a safeguarded
+//! Newton root instead of an `N`-core power sum each (DESIGN.md §14):
+//! `O(N)` per candidate either way. Because the problem is convex,
+//! `D*(s_b)` is unimodal over the ordered candidate array, and Algorithm 1
+//! finds the global optimum with a binary search over the `M` memory
+//! frequencies — total cost `O(N log M)` ([`algorithm1`]). [`exhaustive`]
+//! scans all `M` candidates and exists purely as a correctness oracle.
 
 use crate::error::{Error, Result};
-use crate::model::CapModel;
+use crate::model::{CapModel, CoreModel};
 use crate::units::{Secs, Watts};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tolerance for the scalar bisection on `D` (relative).
 const D_TOLERANCE: f64 = 1e-10;
 /// Iteration cap for the bisection (60 halvings ≪ f64 precision already).
 const MAX_BISECT_ITERS: usize = 200;
+/// Most power sums the Newton search for the bisection's root may take
+/// before the bisection runs without certificates.
+pub const NEWTON_MAX_ITERS: usize = 8;
+/// Newton has converged once its step is below this fraction of `D`.
+const NEWTON_TOL: f64 = CERT_OFFSET / 4.0;
+/// Relative distance of the two certificates from Newton's root.
+const CERT_OFFSET: f64 = 1e-11;
 
 /// Extra per-solve inner-loop evaluations injected for cost-gate testing
 /// (see [`set_injected_solver_iters`]). Process-global and atomic because
 /// the bench sweeps solve on rayon worker threads.
 static INJECTED_SOLVER_ITERS: AtomicU64 = AtomicU64::new(0);
 
-/// Injects `extra` additional `core_power_at` evaluations into every
+/// Injects `extra` additional `N`-core power sums into every
 /// subsequent [`solve_for_bus_time`] call. The injected work inflates the
 /// solver's counted cost without changing any decision — it exists solely
 /// so the CI cost gate can be demonstrated red under a synthetic
@@ -76,9 +84,11 @@ pub struct BusPointSolution {
     /// a generous budget — Fig. 5, B=80%).
     pub budget_bound: bool,
     /// Deterministic count of per-core terms evaluated while solving this
-    /// bus point (constant-setup loops plus every `core_power_at` /
-    /// `think_times_at` evaluation). Feeds the cost model's `solver_iter`
-    /// class; identical for identical inputs on any host.
+    /// bus point: the two constant-setup loops, every power sum (at
+    /// `d_max`, Newton's, the two certificates' and the bisection's
+    /// midpoints between them) and the final think-time pass. Feeds the
+    /// cost model's `solver_iter` class; identical for identical inputs on
+    /// any host.
     pub core_terms: u64,
 }
 
@@ -113,6 +123,15 @@ impl Solution {
 
 /// Solves the inner problem for a fixed `s_b` (Eq. 8 + power equality).
 ///
+/// When the budget binds, the root of `P(D) = core budget` is pinned by
+/// the bisection below, run from `(d_max·1e-9, d_max]` to a relative width
+/// of `D_TOLERANCE`. Safeguarded Newton first finds that root `D̂`, and
+/// two sums just beside it certify every bisection midpoint outside
+/// `D̂·(1 ± CERT_OFFSET)`: such a midpoint is settled by comparison, and
+/// only midpoints between the certificates are summed. The bisection's
+/// path, and so every returned number, is the one a sum at every midpoint
+/// gives (DESIGN.md §14).
+///
 /// Returns `Ok(None)` when this bus point is infeasible: the memory's own
 /// frequency-dependent power at `s_b` already exceeds the dynamic budget, so
 /// no assignment of core frequencies can satisfy constraint 6.
@@ -128,7 +147,6 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
             why: format!("s_b ({s_b}) below minimum bus transfer time ({sb_bar})"),
         });
     }
-    let n = model.n_cores();
     let bus_scale = sb_bar / s_b;
     let mem_dyn = model.memory.power.dynamic_power(bus_scale);
     let dyn_budget = model.dynamic_budget();
@@ -137,91 +155,44 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
     if mem_dyn.get() >= dyn_budget.get() {
         return Ok(None);
     }
-    let core_budget = dyn_budget - mem_dyn;
-
-    // Deterministic work meter: one unit per per-core term evaluated in
-    // this solve. A `Cell` because the closures below capture immutably.
-    let terms = Cell::new(0u64);
-
-    // Per-core constants at this bus point.
-    // T̄_i = z̄_i + c_i + R_i(s̄_b)   (best turn-around, max frequencies)
-    // A_i  = c_i + R_i(s_b)          (frequency-independent part of z_i(D))
-    let mut t_bar = Vec::with_capacity(n);
-    let mut a = Vec::with_capacity(n);
-    for (i, c) in model.cores.iter().enumerate() {
-        let r_bar = model.memory.response.response_time(i, sb_bar);
-        let r = model.memory.response.response_time(i, s_b);
-        t_bar.push(c.min_think_time + c.cache_time + r_bar);
-        a.push(c.cache_time + r);
-    }
-    terms.set(terms.get() + n as u64);
-
-    // D may range in (0, d_max]: above d_max some core would need a think
-    // time below z̄_i, i.e. a frequency above maximum (constraint 7).
-    let mut d_max = f64::INFINITY;
-    for (i, c) in model.cores.iter().enumerate() {
-        let bound = t_bar[i].get() / (c.min_think_time + a[i]).get();
-        d_max = d_max.min(bound);
-    }
-    terms.set(terms.get() + n as u64);
-    debug_assert!(d_max <= 1.0 + 1e-12, "d_max = {d_max} must not exceed 1");
-    d_max = d_max.min(1.0);
-
-    // Core dynamic power as a function of D (monotone increasing).
-    let core_power_at = |d: f64| -> f64 {
-        let mut p = 0.0;
-        for (i, c) in model.cores.iter().enumerate() {
-            let z = t_bar[i].get() / d - a[i].get();
-            // Within (0, d_max] we always have z >= z̄_i > 0; the min() is a
-            // numerical guard at d == d_max exactly.
-            let scale = (c.min_think_time.get() / z).min(1.0);
-            p += c.power.dynamic_power(scale).get();
-        }
-        terms.set(terms.get() + n as u64);
-        p
-    };
-
-    let think_times_at = |d: f64| -> (Vec<Secs>, Vec<f64>) {
-        let mut zs = Vec::with_capacity(n);
-        let mut scales = Vec::with_capacity(n);
-        for (i, c) in model.cores.iter().enumerate() {
-            let z = (t_bar[i].get() / d - a[i].get()).max(c.min_think_time.get());
-            zs.push(Secs(z));
-            scales.push((c.min_think_time.get() / z).min(1.0));
-        }
-        terms.set(terms.get() + n as u64);
-        (zs, scales)
-    };
+    let core_budget = (dyn_budget - mem_dyn).get();
+    let mut point = BusPoint::new(model, s_b);
+    let d_max = point.d_max();
 
     // Cost-gate test hook: burn the configured number of extra evaluations
-    // (normally zero). The Cell side effect keeps them from being optimized
-    // away; the decision itself is untouched.
+    // (normally zero). They are counted; the decision is untouched.
     for _ in 0..injected_solver_iters() {
-        let _ = core_power_at(d_max);
+        let _ = point.power(d_max);
     }
 
     // If even D = d_max fits the budget, performance saturates there and the
     // budget is not binding.
-    if core_power_at(d_max) <= core_budget.get() {
-        let (think_times, core_scales) = think_times_at(d_max);
-        let predicted = Watts(core_power_at(d_max)) + mem_dyn + model.static_power;
-        return Ok(Some(BusPointSolution {
-            degradation: d_max,
-            think_times,
-            core_scales,
-            predicted_power: predicted,
-            budget_bound: false,
-            core_terms: terms.get(),
-        }));
+    let (p_max, slope_max) = point.power_and_slope(d_max);
+    if p_max <= core_budget {
+        return Ok(Some(point.solution(
+            d_max,
+            false,
+            mem_dyn,
+            model.static_power,
+        )));
     }
 
-    // Otherwise bisect the monotone power equality g(D) = budget.
+    // Otherwise bisect the monotone power equality g(D) = budget, settling
+    // each midpoint beyond a certificate without summing.
+    let (under, over) = point.certificates(d_max, p_max, slope_max, core_budget);
     let mut lo = d_max * 1e-9;
     let mut hi = d_max;
     let mut iters = 0;
     while (hi - lo) > D_TOLERANCE * d_max && iters < MAX_BISECT_ITERS {
         let mid = 0.5 * (lo + hi);
-        if core_power_at(mid) > core_budget.get() {
+        let over_budget = if mid >= over {
+            true
+        } else if mid <= under {
+            false
+        } else {
+            point.power(mid) > core_budget
+        };
+        if over_budget {
             hi = mid;
         } else {
             lo = mid;
@@ -229,16 +200,174 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
         iters += 1;
     }
     let d = 0.5 * (lo + hi);
-    let (think_times, core_scales) = think_times_at(d);
-    let predicted = Watts(core_power_at(d)) + mem_dyn + model.static_power;
-    Ok(Some(BusPointSolution {
-        degradation: d,
-        think_times,
-        core_scales,
-        predicted_power: predicted,
-        budget_bound: true,
-        core_terms: terms.get(),
-    }))
+    Ok(Some(point.solution(d, true, mem_dyn, model.static_power)))
+}
+
+/// One bus point's per-core constants and its deterministic work meter.
+struct BusPoint<'a> {
+    cores: &'a [CoreModel],
+    /// `T̄_i = z̄_i + c_i + R_i(s̄_b)`: best turn-around, at maximum
+    /// frequencies.
+    t_bar: Vec<f64>,
+    /// `A_i = c_i + R_i(s_b)`: the frequency-independent part of `z_i(D)`.
+    a: Vec<f64>,
+    /// One unit per per-core term evaluated at this bus point.
+    terms: u64,
+}
+
+impl<'a> BusPoint<'a> {
+    fn new(model: &'a CapModel, s_b: Secs) -> Self {
+        let sb_bar = model.memory.min_bus_transfer_time;
+        let n = model.n_cores();
+        let mut t_bar = Vec::with_capacity(n);
+        let mut a = Vec::with_capacity(n);
+        for (i, c) in model.cores.iter().enumerate() {
+            let r_bar = model.memory.response.response_time(i, sb_bar);
+            let r = model.memory.response.response_time(i, s_b);
+            t_bar.push((c.min_think_time + c.cache_time + r_bar).get());
+            a.push((c.cache_time + r).get());
+        }
+        Self {
+            cores: &model.cores,
+            t_bar,
+            a,
+            terms: n as u64,
+        }
+    }
+
+    fn n(&self) -> u64 {
+        self.cores.len() as u64
+    }
+
+    /// The largest `D`: above it some core would need a think time below
+    /// `z̄_i`, i.e. a frequency above maximum (constraint 7).
+    fn d_max(&mut self) -> f64 {
+        let mut d_max = f64::INFINITY;
+        for (i, c) in self.cores.iter().enumerate() {
+            d_max = d_max.min(self.t_bar[i] / (c.min_think_time.get() + self.a[i]));
+        }
+        self.terms += self.n();
+        debug_assert!(d_max <= 1.0 + 1e-12, "d_max = {d_max} must not exceed 1");
+        d_max.min(1.0)
+    }
+
+    /// The shared per-core term: core `i`'s think time `z_i(D)` (Eq. 8)
+    /// before its clamp at `z̄_i`, and its frequency scale `z̄_i / z_i`
+    /// clamped at the top frequency.
+    #[inline]
+    fn term(&self, i: usize, d: f64) -> (f64, f64) {
+        let z = self.t_bar[i] / d - self.a[i];
+        // Within (0, d_max] we always have z >= z̄_i > 0; the min() is a
+        // numerical guard at d == d_max exactly.
+        (z, (self.cores[i].min_think_time.get() / z).min(1.0))
+    }
+
+    /// Core dynamic power at `d` (monotone increasing).
+    fn power(&mut self, d: f64) -> f64 {
+        let mut p = 0.0;
+        for (i, c) in self.cores.iter().enumerate() {
+            p += c.power.dynamic_power(self.term(i, d).1).get();
+        }
+        self.terms += self.n();
+        p
+    }
+
+    /// Core dynamic power at `d` and its slope `dP/dD`, the sum of
+    /// `α_i·p_i·T̄_i / (z_i·D²)` over the cores below top frequency.
+    fn power_and_slope(&mut self, d: f64) -> (f64, f64) {
+        let (mut p, mut slope) = (0.0, 0.0);
+        for (i, c) in self.cores.iter().enumerate() {
+            let (z, scale) = self.term(i, d);
+            let p_i = c.power.dynamic_power(scale).get();
+            p += p_i;
+            if scale < 1.0 {
+                slope += c.power.alpha * p_i * self.t_bar[i] / z;
+            }
+        }
+        self.terms += self.n();
+        (p, slope / (d * d))
+    }
+
+    /// Safeguarded Newton for the root of `P(D) = budget`, started at
+    /// `d_max`, where `P` is over budget. `[lo, hi]` brackets the root, and
+    /// a step that would leave it is replaced by a bisection step. Returns
+    /// `None` when [`NEWTON_MAX_ITERS`] sums do not bring the step below
+    /// `NEWTON_TOL` of `D`.
+    fn newton_root(&mut self, d_max: f64, p: f64, slope: f64, budget: f64) -> Option<f64> {
+        let (mut lo, mut hi) = (0.0, d_max);
+        let (mut d, mut p, mut slope) = (d_max, p, slope);
+        for step in 0..=NEWTON_MAX_ITERS {
+            let mut next = d - (p - budget) / slope;
+            if !(next > lo && next < hi) {
+                next = 0.5 * (lo + hi);
+            }
+            if (next - d).abs() <= NEWTON_TOL * next {
+                return Some(next);
+            }
+            if step == NEWTON_MAX_ITERS {
+                break;
+            }
+            d = next;
+            (p, slope) = self.power_and_slope(d);
+            if p > budget {
+                hi = d;
+            } else {
+                lo = d;
+            }
+        }
+        None
+    }
+
+    /// Returns `(under, over)`: every `D <= under` is within the budget
+    /// and every `D >= over` is over it. Each sits at Newton's root
+    /// `·(1 ± CERT_OFFSET)` when a sum there confirms its side, and
+    /// otherwise at the bracket end (`0` or `d_max`) that certifies no
+    /// midpoint.
+    fn certificates(&mut self, d_max: f64, p: f64, slope: f64, budget: f64) -> (f64, f64) {
+        let (mut under, mut over) = (0.0, d_max);
+        if let Some(root) = self.newton_root(d_max, p, slope, budget) {
+            let up = root * (1.0 + CERT_OFFSET);
+            if up < d_max && self.power(up) > budget {
+                over = up;
+            }
+            let down = root * (1.0 - CERT_OFFSET);
+            if self.power(down) <= budget {
+                under = down;
+            }
+        }
+        (under, over)
+    }
+
+    /// Think times, scales and predicted power at `d`, in one pass whose
+    /// power sum is bit-equal to [`BusPoint::power`]'s.
+    fn solution(
+        mut self,
+        d: f64,
+        budget_bound: bool,
+        mem_dyn: Watts,
+        static_power: Watts,
+    ) -> BusPointSolution {
+        let n = self.cores.len();
+        let mut think_times = Vec::with_capacity(n);
+        let mut core_scales = Vec::with_capacity(n);
+        let mut p = 0.0;
+        for (i, c) in self.cores.iter().enumerate() {
+            let (z, scale) = self.term(i, d);
+            p += c.power.dynamic_power(scale).get();
+            let z = z.max(c.min_think_time.get());
+            think_times.push(Secs(z));
+            core_scales.push((c.min_think_time.get() / z).min(1.0));
+        }
+        self.terms += self.n();
+        BusPointSolution {
+            degradation: d,
+            think_times,
+            core_scales,
+            predicted_power: Watts(p) + mem_dyn + static_power,
+            budget_bound,
+            core_terms: self.terms,
+        }
+    }
 }
 
 /// Builds the ordered candidate `s_b` array from a memory frequency ladder:
@@ -261,9 +390,9 @@ pub fn bus_candidates(min_bus_transfer_time: Secs, mem_freqs: &[crate::units::Hz
 /// Exploits the convexity of the optimization: `D*(s_b)` is unimodal over
 /// the sorted candidates, so comparing the midpoint with its neighbours
 /// (`D⁻`, `D⁺` in the paper's notation) tells which half contains the
-/// optimum. Infeasible candidates (memory power alone over budget — these
-/// form a prefix of the array, at the high-frequency end... or rather the
-/// *low* `s_b` end) are treated as `D = -∞`.
+/// optimum. Infeasible candidates (memory power alone over budget) form a
+/// prefix of the array, the fast-memory end where `s_b` is smallest, and
+/// are treated as `D = -∞`.
 ///
 /// # Errors
 ///
