@@ -2,10 +2,12 @@
 //! scenario-engine transient artifacts.
 //!
 //! ```text
-//! repro <artifact>... [--quick] [--seed N] [--jobs N] [--lanes N] [--out DIR] [--scenario FILE]
+//! repro <artifact>... [--quick] [--seed N] [--jobs N] [--out DIR] [--scenario FILE] [--trace FILE]
 //! repro all [--quick] [--jobs N]
 //! repro matrix [--count K] [--mixes LIST|all] [--policies LIST|all] [--quick] [--jobs N]
 //! repro scenario validate [DIR]
+//! repro trace <artifact>
+//! repro explain <artifact>
 //! repro calibrate
 //! repro costgate [--jobs N]
 //! repro --list
@@ -20,12 +22,16 @@
 //! (`perfbench/`), never by `repro`.
 //!
 //! `--jobs N` shards each experiment's sweep across N worker threads
-//! (default: available parallelism). `--lanes N` sets the lane-pool width
-//! *inside* each simulation (determinism contract v2, DESIGN.md §11;
-//! default: available parallelism capped by the simulated core count,
-//! dropping to 1 when `--jobs` parallelism is in force). Artifacts are
-//! bit-identical at any job **and** lane count for a fixed `--seed`; see
-//! DESIGN.md §5 and §11.
+//! (default: available parallelism); it is the only thread knob, and each
+//! simulation runs on one thread. Artifacts are bit-identical at any job
+//! count for a fixed `--seed`; see DESIGN.md §5 and §11.
+//!
+//! `--trace FILE` arms the tracer and writes the run's Chrome-trace JSON
+//! to FILE plus a metrics CSV beside it; `repro trace <artifact>` writes
+//! `<out>/<artifact>.trace.json`. `repro explain <artifact>` replays a
+//! scenario artifact traced and prints each policy's decision trail
+//! around any oracle violation, exiting non-zero when one is red. See
+//! DESIGN.md §12.
 //!
 //! `--scenario FILE` replaces the checked-in default scenario of the
 //! `scn_*` artifacts; `scenario validate` lints every `*.json` under a
@@ -40,8 +46,9 @@
 //! Matrix tables are byte-identical at any `--jobs` value.
 //!
 //! Artifacts: tab1 tab3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-//! fig12 fig13 overhead epochlen ablation scaling scn_capstep
-//! scn_flashcrowd scn_hotplug fleet_ladder fleet_settle fleet_scale.
+//! fig12 fig13 overhead epochlen ablation bias_ablation scaling
+//! scn_capstep scn_flashcrowd scn_hotplug fleet_ladder fleet_settle
+//! fleet_scale.
 //! Results print as markdown and are written as CSV/JSON under `--out`
 //! (default `results/`).
 
@@ -54,7 +61,7 @@ use std::time::Instant;
 
 fn usage() -> String {
     format!(
-        "usage: repro <artifact|all>... [--quick] [--seed N] [--jobs N] [--lanes N] [--out DIR] \
+        "usage: repro <artifact|all>... [--quick] [--seed N] [--jobs N] [--out DIR] \
          [--scenario FILE] [--trace FILE] [--list]\n\
          \x20      repro matrix [--count K] [--mixes LIST|all] [--policies LIST|all]\n\
          \x20      repro scenario validate [DIR]\n\
@@ -328,13 +335,6 @@ fn main() -> ExitCode {
                 Some(s) => opts.seed = s,
                 None => {
                     eprintln!("--seed needs an integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--lanes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(l) if l >= 1 => opts.lanes = Some(l),
-                _ => {
-                    eprintln!("--lanes needs an integer >= 1\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },

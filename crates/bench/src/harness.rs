@@ -37,13 +37,6 @@ pub struct Opts {
     /// Scenario-file override for the `scn_*` artifacts (`--scenario`).
     /// `None` runs each artifact's checked-in default scenario.
     pub scenario: Option<PathBuf>,
-    /// Physical lane-pool width per simulation (`--lanes`). Artifact bytes
-    /// are independent of this value (determinism contract v2, DESIGN.md
-    /// §11); only wall-clock changes. `None` picks a default: available
-    /// hardware parallelism capped by the core count, dropping to 1
-    /// whenever sweep-level parallelism (`--jobs` > 1 or a shared
-    /// [`crate::sweep::WorkBudget`]) already claims the hardware.
-    pub lanes: Option<usize>,
 }
 
 impl Default for Opts {
@@ -55,7 +48,6 @@ impl Default for Opts {
             out_dir: PathBuf::from("results"),
             budget: None,
             scenario: None,
-            lanes: None,
         }
     }
 }
@@ -84,30 +76,13 @@ impl Opts {
         }
     }
 
-    /// The lane-pool width a simulation over `n_cores` cores should run
-    /// with: the explicit `--lanes` value capped by the core count, or —
-    /// by default — the machine's available parallelism capped by the core
-    /// count, falling back to 1 when sweep-level parallelism (`--jobs` > 1
-    /// or a shared [`crate::sweep::WorkBudget`]) already owns the
-    /// hardware. Bytes never depend on the result (contract v2).
-    pub fn resolved_lanes(&self, n_cores: usize) -> usize {
-        let cap = n_cores.max(1);
-        match self.lanes {
-            Some(l) => l.clamp(1, cap),
-            None if self.jobs > 1 || self.budget.is_some() => 1,
-            None => rayon::current_num_threads().clamp(1, cap),
-        }
-    }
-
     /// The standard simulator config for this options set.
     ///
     /// # Errors
     ///
     /// Propagates [`SimConfig::ispass`] validation.
     pub fn sim_config(&self, n_cores: usize) -> Result<SimConfig> {
-        Ok(SimConfig::ispass(n_cores)?
-            .with_time_dilation(self.dilation())
-            .with_lanes(self.resolved_lanes(n_cores)))
+        Ok(SimConfig::ispass(n_cores)?.with_time_dilation(self.dilation()))
     }
 }
 

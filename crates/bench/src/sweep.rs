@@ -164,15 +164,6 @@ impl<'a, T: Send> Sweep<'a, T> {
         // tokens it can grant, never more than the chunk can use. A
         // long grid started when the pool was empty widens as sibling
         // artifacts finish and donate their workers back.
-        //
-        // With an explicit `--lanes L`, every worker's simulation spins an
-        // L-wide lane pool, so each *extra* worker charges L tokens — the
-        // two parallelism levels share one hardware pot instead of
-        // multiplying against each other. (The default `lanes: None`
-        // resolves to 1 lane under a budget — see `Opts::resolved_lanes` —
-        // so the common path charges exactly as before.) Purely a
-        // scheduling choice: bytes are lane- and jobs-invariant.
-        let lane_width = opts.lanes.unwrap_or(1).max(1);
         let n = self.points.len();
         let failed = AtomicBool::new(false);
         let mut slots = Vec::with_capacity(n);
@@ -180,13 +171,11 @@ impl<'a, T: Send> Sweep<'a, T> {
         while start < n {
             let remaining = n - start;
             let cap = (opts.jobs.max(1) - 1).min(remaining - 1);
-            let granted = budget.take(cap * lane_width);
-            let extra = granted / lane_width;
-            budget.put(granted - extra * lane_width); // unusable remainder
+            let extra = budget.take(cap);
             let jobs = 1 + extra;
             let end = start + remaining.min((jobs * 2).max(4));
             slots.extend(self.run_span(jobs, opts, start, end, &failed));
-            budget.put(extra * lane_width);
+            budget.put(extra);
             start = end;
             if failed.load(Ordering::Relaxed) {
                 break; // surface the error; unclaimed chunks never start
@@ -452,45 +441,6 @@ mod tests {
         s.run(&opts).unwrap();
         // All 4 spare tokens must be back in the pool.
         assert_eq!(budget.take(8), 4);
-    }
-
-    #[test]
-    fn explicit_lanes_charge_budget_tokens_per_worker() {
-        // With `--lanes 3`, each extra worker claims 3 tokens: a pool of 4
-        // spares funds at most one extra worker, and the unusable
-        // remainder plus the claim are all returned afterwards.
-        let budget = WorkBudget::new(4);
-        let opts = Opts {
-            jobs: 8,
-            lanes: Some(3),
-            budget: Some(budget.clone()),
-            ..Opts::default()
-        };
-        let mut s = Sweep::new();
-        for i in 0..6usize {
-            s.push(move |_| Ok(i));
-        }
-        assert_eq!(s.run(&opts).unwrap(), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(budget.take(8), 4, "all lane-width tokens returned");
-    }
-
-    #[test]
-    fn lane_width_does_not_change_budgeted_results() {
-        let collect = |lanes: Option<usize>| {
-            let opts = Opts {
-                jobs: 6,
-                lanes,
-                budget: Some(WorkBudget::new(5)),
-                ..Opts::default()
-            };
-            let mut s = Sweep::new();
-            for _ in 0..12 {
-                s.push(|ctx| Ok((ctx.index, ctx.seed)));
-            }
-            s.run(&opts).unwrap()
-        };
-        assert_eq!(collect(None), collect(Some(2)));
-        assert_eq!(collect(None), collect(Some(64)));
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! comparison set (incl. beam-search MaxBIPS). Any future change that perturbs
 //! event order, RNG draw order, or reduce order will flip these hashes —
 //! and must either be a deliberate, documented artifact change or a bug.
-//! A `(--jobs, --lanes)` matrix is checked and every cell must agree:
-//! neither two-level sharding nor the intra-sim lane pool may leak into
-//! bytes (determinism contract v2, DESIGN.md §11).
+//! `--jobs 1` and `--jobs 8` must agree: two-level sharding may never
+//! leak into bytes (DESIGN.md §5, §11).
 //!
 //! Since the modeled cost model landed (DESIGN.md §10), the timing
 //! artifacts (`tab1`, `overhead`, `scaling`) are pinned too: their
@@ -108,13 +107,12 @@ fn hash_dir(dir: &Path) -> BTreeMap<String, u64> {
 fn fig5_and_fig12_13_bytes_are_pinned_at_any_job_and_lane_count() {
     let base = std::env::temp_dir().join("fastcap_golden");
     let _ = std::fs::remove_dir_all(&base);
-    // Determinism contract v2 (DESIGN.md §11): bytes are invariant in
-    // BOTH parallelism axes — outer artifact sharding (--jobs) and the
-    // intra-sim lane pool (--lanes).
-    let matrix = [("1", "1"), ("8", "1"), ("1", "4"), ("8", "4")];
+    // Bytes are invariant in artifact and sweep sharding (--jobs); each
+    // simulation runs on one thread with per-core draw lanes (DESIGN.md
+    // §11).
     let mut per_cell = Vec::new();
-    for (jobs, lanes) in matrix {
-        let dir = base.join(format!("jobs{jobs}_lanes{lanes}"));
+    for jobs in ["1", "8"] {
+        let dir = base.join(format!("jobs{jobs}"));
         run_repro(&[
             "fig5",
             "fig12",
@@ -130,19 +128,15 @@ fn fig5_and_fig12_13_bytes_are_pinned_at_any_job_and_lane_count() {
             "42",
             "--jobs",
             jobs,
-            "--lanes",
-            lanes,
             "--out",
             dir.to_str().unwrap(),
         ]);
         per_cell.push(hash_dir(&dir));
     }
-    for (i, (jobs, lanes)) in matrix.iter().enumerate().skip(1) {
-        assert_eq!(
-            per_cell[0], per_cell[i],
-            "artifact bytes differ at --jobs {jobs} --lanes {lanes}"
-        );
-    }
+    assert_eq!(
+        per_cell[0], per_cell[1],
+        "artifact bytes differ at --jobs 1 and --jobs 8"
+    );
 
     let got = &per_cell[0];
     let timing = fastcap_bench::costmodel::TIMING_GOLDENS;

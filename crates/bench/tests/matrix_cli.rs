@@ -54,9 +54,11 @@ fn bad_matrix_input_exits_nonzero_with_usage() {
         &["fig3", "--count", "2"][..],
         &["scenario", "validate", "--count", "2"][..],
         &["matrix", "--scenario", "scenarios/scn_capstep.json"][..],
-        // Removed flags: host timing lives in perfbench, not in repro.
+        // Removed flags: host timing lives in perfbench, not in repro, and
+        // `--jobs` is the only thread knob.
         &["tab1", "--wall-clock"][..],
         &["calibrate", "--check"][..],
+        &["fig3", "--lanes", "2"][..],
     ] {
         let out = run_repro(args);
         assert_eq!(

@@ -88,31 +88,6 @@ fn repro_rejects_unknown_artifacts_with_usage() {
 }
 
 #[test]
-fn repro_rejects_invalid_lane_counts_with_usage() {
-    // `--lanes 0`, non-numeric, and a missing value must all exit
-    // non-zero and print the usage string (contract v2 satellite: a
-    // typo'd lane count may never silently fall back to a default).
-    for bad in [
-        &["fig3", "--lanes", "0"][..],
-        &["fig3", "--lanes", "two"],
-        &["fig3", "--lanes"],
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(bad)
-            .output()
-            .expect("run repro with bad --lanes");
-        assert!(
-            !out.status.success(),
-            "repro {bad:?} must exit non-zero, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.contains("--lanes needs an integer >= 1"), "{stderr}");
-        assert!(stderr.contains("usage: repro"), "{stderr}");
-    }
-}
-
-#[test]
 fn tab1_theory_rows_cover_the_paper() {
     let tables = experiments::run("tab1", &quick_opts()).unwrap();
     let theory = tables.iter().find(|t| t.id == "tab1_theory").unwrap();

@@ -61,12 +61,10 @@ pub struct CostCounter {
     pub quantize_ops: u64,
     /// Water-filling divide passes in the fleet budget tree.
     pub waterfill_passes: u64,
-    /// Lane-stream synchronizations in the lane-parallel DES engine: one
-    /// per draw-stream refill at a conservative sync point. Logical —
-    /// counted identically at any `--lanes` level (contract v2).
+    /// Draw-lane stream refills in the DES: one per batch prefill at an
+    /// epoch barrier or inline refill on underrun.
     pub lane_syncs: u64,
-    /// Epoch-boundary hard barriers in the lane-parallel DES engine: one
-    /// per epoch prefill round, regardless of physical lane count.
+    /// Epoch-boundary barriers in the DES: one per epoch prefill round.
     pub barrier_waits: u64,
 }
 

@@ -12,6 +12,9 @@
 //! run abort, exactly as before.
 
 use crate::policy::CappingPolicy;
+use fastcap_core::capper::DvfsDecision;
+use fastcap_core::cost::CostCounter;
+use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::Result;
 use fastcap_sim::metrics::{EpochReport, RunResult};
 use fastcap_sim::{EpochBackend, SimConfig};
@@ -87,12 +90,11 @@ impl<B: EpochBackend> ClosedLoop<B> {
     }
 
     /// [`ClosedLoop::run`] with an optional audit-trail tracer: when
-    /// `trace` is `Some`, each epoch appends an epoch span, a decision
-    /// record (when the policy decided), and a lane-engine record to the
-    /// tracer's ring, timestamped on the modeled-cost clock ([`ClosedLoop::cost`]
-    /// deltas priced by the tracer's weights). Tracing only reads the
-    /// counters the loop already maintains, so the [`RunResult`] is
-    /// byte-identical with `trace` `Some` or `None`.
+    /// `trace` is `Some`, each epoch goes to [`trace_epoch`], timestamped
+    /// on the modeled-cost clock ([`ClosedLoop::cost`] deltas priced by
+    /// the tracer's weights). Tracing only reads the counters the loop
+    /// already maintains, so the [`RunResult`] is byte-identical with
+    /// `trace` `Some` or `None`.
     pub fn run_traced(&mut self, epochs: usize, mut trace: Option<&mut Tracer>) -> RunResult {
         let cfg = self.backend.config();
         let (n_cores, sim_epoch_length, peak_power) =
@@ -102,82 +104,27 @@ impl<B: EpochBackend> ClosedLoop<B> {
         let mut policy_cost = self.policy.decision_cost();
         for e in 0..epochs as u64 {
             let obs = self.backend.observation();
-            let (observed_w, bank_queue) = obs
-                .as_ref()
-                .map_or((0.0, 0.0), |o| (o.total_power.get(), o.memory.bank_queue));
-            let decision = match obs {
-                Some(o) => self.policy.decide(&o).ok(),
+            let decision = match &obs {
+                Some(o) => self.policy.decide(o).ok(),
                 None => self.policy.bootstrap(),
             };
             let report = self.backend.run_epoch(decision.as_ref());
             if let Some(t) = trace.as_deref_mut() {
-                let policy_delta = {
-                    let now = self.policy.decision_cost();
-                    let d = now.delta_since(&policy_cost);
-                    policy_cost = now;
-                    d
-                };
-                let backend_delta = {
-                    let now = self.backend.cost();
-                    let d = now.delta_since(&backend_cost);
-                    backend_cost = now;
-                    d
-                };
-                let t_start_ns = t.now_ns();
-                let mut epoch_delta = backend_delta;
-                epoch_delta.add(&policy_delta);
-                t.advance(&epoch_delta);
-                let measured_w = report.total_power.get();
-                t.record_at(
-                    t_start_ns,
-                    TraceEvent::EpochSpan {
-                        epoch: e,
-                        t_start_ns,
-                        t_end_ns: t.now_ns(),
-                        power_w: measured_w,
-                    },
+                let policy_now = self.policy.decision_cost();
+                let policy_delta = policy_now.delta_since(&policy_cost);
+                policy_cost = policy_now;
+                let backend_now = self.backend.cost();
+                let backend_delta = backend_now.delta_since(&backend_cost);
+                backend_cost = backend_now;
+                trace_epoch(
+                    t,
+                    e,
+                    backend_delta,
+                    Some((self.policy.as_ref(), policy_delta)),
+                    decision.as_ref(),
+                    obs.as_ref(),
+                    &report,
                 );
-                if let Some(d) = &decision {
-                    let budget_w = self
-                        .policy
-                        .in_force_budget()
-                        .map(fastcap_core::units::Watts::get);
-                    t.record(TraceEvent::Decision(DecisionRecord {
-                        epoch: e,
-                        policy: self.policy.name().to_string(),
-                        budget_w,
-                        observed_w,
-                        solver_iters: policy_delta.solver_iters,
-                        candidates: policy_delta.grid_points + policy_delta.bus_evals,
-                        core_freqs: d.core_freqs.clone(),
-                        mem_freq: d.mem_freq,
-                        predicted_w: d.predicted_power.get(),
-                        quantized_w: d.quantized_power.get(),
-                        trim_w: d.budget_trim.get(),
-                        measured_w,
-                        slack_w: budget_w.map(|b| b - measured_w),
-                        budget_bound: d.budget_bound,
-                        emergency: d.emergency,
-                        decide_ns: t.price_ns(&policy_delta),
-                    }));
-                    t.metrics.counter_add("policy.decisions", 1);
-                    if let Some(b) = budget_w {
-                        if b > 0.0 {
-                            t.metrics.histogram_observe(
-                                "policy.overshoot_pct",
-                                &[0.0, 1.0, 2.0, 5.0, 10.0, 20.0],
-                                (measured_w - b) / b * 100.0,
-                            );
-                        }
-                    }
-                }
-                t.record(TraceEvent::Lane(LaneRecord {
-                    epoch: e,
-                    prefill_draws: backend_delta.rng_draws,
-                    refill_fallbacks: backend_delta.lane_syncs,
-                    barrier_waits: backend_delta.barrier_waits,
-                }));
-                t.metrics.gauge_set("sim.mem_bank_queue", bank_queue);
             }
             reports.push(report);
         }
@@ -188,6 +135,81 @@ impl<B: EpochBackend> ClosedLoop<B> {
             epochs: reports,
         }
     }
+}
+
+/// Appends one closed-loop epoch to `t`'s audit trail: an epoch span on
+/// the modeled clock, advanced by the epoch's backend and policy cost
+/// deltas; a [`DecisionRecord`] with the overshoot histogram when the
+/// policy decided; then the [`LaneRecord`] and the bank-queue gauge.
+/// `policy` pairs the policy in force with the decision cost it added
+/// this epoch and is `None` for an uncapped run; `observed` is the
+/// observation the decision read (`None` before the first epoch). The
+/// [`ClosedLoop`] and scenario-runner loops both emit through here.
+pub fn trace_epoch(
+    t: &mut Tracer,
+    epoch: u64,
+    backend_delta: CostCounter,
+    policy: Option<(&dyn CappingPolicy, CostCounter)>,
+    decision: Option<&DvfsDecision>,
+    observed: Option<&EpochObservation>,
+    report: &EpochReport,
+) {
+    let (observed_w, bank_queue) =
+        observed.map_or((0.0, 0.0), |o| (o.total_power.get(), o.memory.bank_queue));
+    let t_start_ns = t.now_ns();
+    let mut epoch_delta = backend_delta;
+    if let Some((_, policy_delta)) = &policy {
+        epoch_delta.add(policy_delta);
+    }
+    t.advance(&epoch_delta);
+    let measured_w = report.total_power.get();
+    t.record_at(
+        t_start_ns,
+        TraceEvent::EpochSpan {
+            epoch,
+            t_start_ns,
+            t_end_ns: t.now_ns(),
+            power_w: measured_w,
+        },
+    );
+    if let (Some((p, pd)), Some(d)) = (policy, decision) {
+        let budget_w = p.in_force_budget().map(fastcap_core::units::Watts::get);
+        t.record(TraceEvent::Decision(DecisionRecord {
+            epoch,
+            policy: p.name().to_string(),
+            budget_w,
+            observed_w,
+            solver_iters: pd.solver_iters,
+            candidates: pd.grid_points + pd.bus_evals,
+            core_freqs: d.core_freqs.clone(),
+            mem_freq: d.mem_freq,
+            predicted_w: d.predicted_power.get(),
+            quantized_w: d.quantized_power.get(),
+            trim_w: d.budget_trim.get(),
+            measured_w,
+            slack_w: budget_w.map(|b| b - measured_w),
+            budget_bound: d.budget_bound,
+            emergency: d.emergency,
+            decide_ns: t.price_ns(&pd),
+        }));
+        t.metrics.counter_add("policy.decisions", 1);
+        if let Some(b) = budget_w {
+            if b > 0.0 {
+                t.metrics.histogram_observe(
+                    "policy.overshoot_pct",
+                    &[0.0, 1.0, 2.0, 5.0, 10.0, 20.0],
+                    (measured_w - b) / b * 100.0,
+                );
+            }
+        }
+    }
+    t.record(TraceEvent::Lane(LaneRecord {
+        epoch,
+        prefill_draws: backend_delta.rng_draws,
+        refill_fallbacks: backend_delta.lane_syncs,
+        barrier_waits: backend_delta.barrier_waits,
+    }));
+    t.metrics.gauge_set("sim.mem_bank_queue", bank_queue);
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ mod maxbips;
 mod model_predictive;
 mod policy;
 
-pub use closed_loop::ClosedLoop;
+pub use closed_loop::{trace_epoch, ClosedLoop};
 pub use cpu_only::{CpuOnlyPolicy, PinnedMemory};
 pub use eql_freq::{EqlFreqPolicy, EqualFrequency};
 pub use eql_pwr::{EqlPwrPolicy, EqualPower};

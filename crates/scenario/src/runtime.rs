@@ -31,9 +31,9 @@ use fastcap_core::capper::DvfsDecision;
 use fastcap_core::cost::CostCounter;
 use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::{Error, Result};
-use fastcap_policies::CappingPolicy;
+use fastcap_policies::{trace_epoch, CappingPolicy};
 use fastcap_sim::{ControlAction, RunResult, Server};
-use fastcap_trace::{DecisionRecord, LaneRecord, TraceEvent, Tracer};
+use fastcap_trace::{TraceEvent, Tracer};
 use fastcap_workloads::{spec, AppInstance, PhaseSpec};
 
 /// Builds a policy for `n_active` online cores under `budget_fraction`.
@@ -314,9 +314,9 @@ impl ScenarioRunner {
     }
 
     /// [`ScenarioRunner::run`] with an optional audit-trail tracer. When
-    /// `trace` is `Some`, every epoch appends an [`TraceEvent::EpochSpan`],
-    /// a [`DecisionRecord`] (capped runs), a lane-engine record, and a
-    /// control event per scenario move to the tracer's ring, timestamped by
+    /// `trace` is `Some`, every epoch appends a control event per scenario
+    /// move and then [`trace_epoch`]'s epoch span, decision record (capped
+    /// runs) and lane record to the tracer's ring, timestamped by
     /// the modeled-cost clock (the server + policy [`CostCounter`] deltas
     /// priced by the tracer's weights). Tracing reads the counters the run
     /// already maintains and never mutates them, so the simulated artifact
@@ -408,9 +408,10 @@ impl ScenarioRunner {
                     p.on_budget_change(budget)?;
                 }
             }
-            let decision = match (&mut policy, server.observation()) {
-                (Some(p), Some(obs)) => {
-                    let d = p.decide(&project(&obs, &mask))?;
+            let obs = server.observation();
+            let decision = match (&mut policy, &obs) {
+                (Some(p), Some(o)) => {
+                    let d = p.decide(&project(o, &mask))?;
                     Some(scatter(d, &mask))
                 }
                 // Epoch 0: no observation yet — model-predictive policies
@@ -419,76 +420,26 @@ impl ScenarioRunner {
                 (Some(p), None) => p.bootstrap().map(|d| scatter(d, &mask)),
                 _ => None,
             };
-            let (observed_w, bank_queue) = server.observation().map_or((0.0, 0.0), |obs| {
-                (obs.total_power.get(), obs.memory.bank_queue)
-            });
             let report = server.run_epoch(decision.as_ref());
             if let Some(t) = trace.as_deref_mut() {
-                let policy_delta = policy.as_ref().map(|p| {
-                    let d = p.decision_cost().delta_since(&policy_cost);
-                    policy_cost = p.decision_cost();
-                    d
+                let policy_side = policy.as_deref().map(|p| {
+                    let now = p.decision_cost();
+                    let d = now.delta_since(&policy_cost);
+                    policy_cost = now;
+                    (p, d)
                 });
-                let server_delta = {
-                    let now = server.cost();
-                    let d = now.delta_since(&server_cost);
-                    server_cost = now;
-                    d
-                };
-                let t_start_ns = t.now_ns();
-                let mut epoch_delta = server_delta;
-                if let Some(pd) = &policy_delta {
-                    epoch_delta.add(pd);
-                }
-                t.advance(&epoch_delta);
-                let measured_w = report.total_power.get();
-                t.record_at(
-                    t_start_ns,
-                    TraceEvent::EpochSpan {
-                        epoch: e,
-                        t_start_ns,
-                        t_end_ns: t.now_ns(),
-                        power_w: measured_w,
-                    },
+                let server_now = server.cost();
+                let server_delta = server_now.delta_since(&server_cost);
+                server_cost = server_now;
+                trace_epoch(
+                    t,
+                    e,
+                    server_delta,
+                    policy_side,
+                    decision.as_ref(),
+                    obs.as_ref(),
+                    &report,
                 );
-                if let (Some(p), Some(d), Some(pd)) = (&policy, &decision, &policy_delta) {
-                    let budget_w = p.in_force_budget().map(fastcap_core::units::Watts::get);
-                    t.record(TraceEvent::Decision(DecisionRecord {
-                        epoch: e,
-                        policy: p.name().to_string(),
-                        budget_w,
-                        observed_w,
-                        solver_iters: pd.solver_iters,
-                        candidates: pd.grid_points + pd.bus_evals,
-                        core_freqs: d.core_freqs.clone(),
-                        mem_freq: d.mem_freq,
-                        predicted_w: d.predicted_power.get(),
-                        quantized_w: d.quantized_power.get(),
-                        trim_w: d.budget_trim.get(),
-                        measured_w,
-                        slack_w: budget_w.map(|b| b - measured_w),
-                        budget_bound: d.budget_bound,
-                        emergency: d.emergency,
-                        decide_ns: t.price_ns(pd),
-                    }));
-                    t.metrics.counter_add("policy.decisions", 1);
-                    if let Some(b) = budget_w {
-                        if b > 0.0 {
-                            t.metrics.histogram_observe(
-                                "policy.overshoot_pct",
-                                &[0.0, 1.0, 2.0, 5.0, 10.0, 20.0],
-                                (measured_w - b) / b * 100.0,
-                            );
-                        }
-                    }
-                }
-                t.record(TraceEvent::Lane(LaneRecord {
-                    epoch: e,
-                    prefill_draws: server_delta.rng_draws,
-                    refill_fallbacks: server_delta.lane_syncs,
-                    barrier_waits: server_delta.barrier_waits,
-                }));
-                t.metrics.gauge_set("sim.mem_bank_queue", bank_queue);
             }
             reports.push(report);
         }

@@ -126,14 +126,6 @@ pub struct SimConfig {
     pub mem_transition: Secs,
     /// Relative standard deviation of power-meter noise (0 = ideal meter).
     pub meter_noise: f64,
-    /// Physical lane-pool width for the lane-parallel draw engine (≥ 1).
-    ///
-    /// An execution parameter like `time_dilation`: under determinism
-    /// contract v2 (DESIGN.md §11) the *logical* lane partition is always
-    /// one lane per core, so artifact bytes are identical at any value —
-    /// this only sets how many OS threads refill lane draw streams at each
-    /// epoch barrier. Capped to `n_cores` at server construction.
-    pub lanes: usize,
     /// Paper-reported peak full-system power target for this preset (used
     /// by the controller as `P̄`).
     pub peak_power: Watts,
@@ -205,7 +197,6 @@ impl SimConfig {
             core_transition: Secs::from_micros(10.0),
             mem_transition: Secs::from_micros(20.0),
             meter_noise: 0.01,
-            lanes: 1,
             peak_power,
         })
     }
@@ -239,15 +230,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_meter_noise(mut self, sigma: f64) -> Self {
         self.meter_noise = sigma.max(0.0);
-        self
-    }
-
-    /// Overrides the physical lane-pool width (clamped to ≥ 1). Bytes are
-    /// invariant under this value (contract v2, DESIGN.md §11); it only
-    /// controls prefill parallelism.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
         self
     }
 
@@ -368,12 +350,6 @@ impl SimConfig {
             return Err(Error::InvalidConfig {
                 what: "bus_burst_cycles",
                 why: "must be positive".into(),
-            });
-        }
-        if self.lanes == 0 {
-            return Err(Error::InvalidConfig {
-                what: "lanes",
-                why: "must be >= 1".into(),
             });
         }
         if self.time_dilation.is_nan() || self.time_dilation < 1.0 {
@@ -521,16 +497,5 @@ mod tests {
         let mut c = SimConfig::ispass(16).unwrap();
         c.n_cores = (1 << 22) + 1;
         assert!(c.validate().is_err());
-        let mut c = SimConfig::ispass(16).unwrap();
-        c.lanes = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn with_lanes_clamps_and_defaults_to_one() {
-        let c = SimConfig::ispass(16).unwrap();
-        assert_eq!(c.lanes, 1);
-        assert_eq!(c.with_lanes(0).lanes, 1);
-        assert_eq!(SimConfig::ispass(16).unwrap().with_lanes(4).lanes, 4);
     }
 }

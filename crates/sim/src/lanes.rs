@@ -1,17 +1,17 @@
-//! Per-core draw lanes: the lane-parallel half of determinism contract v2.
+//! Per-core draw lanes: the sampling side of the determinism contract.
 //!
-//! The DES event loop itself is inherently serial — events interact through
-//! the shared memory controllers and bus — but the *stochastic sampling*
-//! that feeds it (exponential think times, access routing, writeback and
-//! row-hit coin flips, meter noise) is not: under contract v2 (DESIGN.md
-//! §11) every core owns a **lane** of private `SmallRng` streams seeded via
-//! `fastcap_core::seed::derive_seed(server_seed, lane)`, so a draw's value
-//! depends only on its lane and its position in that lane's stream — never
-//! on the global interleaving of events. That makes draw *generation*
-//! embarrassingly parallel: at each epoch boundary (a hard barrier) a
-//! [`rayon::LanePool`] refills every lane's draw buffers concurrently, and
-//! the event loop then consumes precomputed records in `(time, lane, seq)`
-//! merge order through the timing wheel exactly as before.
+//! The DES event loop is serial — events interact through the shared
+//! memory controllers and bus — and so is everything here. What the lanes
+//! fix is *which* record every sampling site reads: every core owns a
+//! **lane** of private `SmallRng` streams seeded via
+//! `fastcap_core::seed::derive_seed(server_seed, lane)` (DESIGN.md §11), so
+//! a draw's value depends only on its lane and its position in that lane's
+//! stream — never on the global interleaving of events. That lets each
+//! epoch boundary refill every lane's buffer in one batch (the prefill),
+//! and the event loop then consumes the precomputed records in
+//! `(time, FIFO-seq)` order through the timing wheel. Batching is a
+//! serial speed-up: generating a stream's records back to back beats
+//! interleaving them with event handling.
 //!
 //! ## Conservative lookahead
 //!
@@ -24,17 +24,15 @@
 //! prefilled window falls back to deterministic inline refills (counted as
 //! `lane_sync` ops).
 //!
-//! ## Why bytes cannot depend on the lane count
+//! ## Why buffering cannot move bytes
 //!
-//! The *logical* lane partition is always one lane per core (plus one
-//! memory/meter lane); `SimConfig::lanes` only sets how many OS threads
-//! run the refill loop. Each record costs a fixed number of `next_u64`
-//! calls on its own stream (the rand shim's one-draw-per-typed-value
-//! guarantee), so the record sequence per stream is a pure function of the
-//! seed — independent of batching, buffer sizes, and thread count. The
-//! serial oracle ([`LaneSet::use_serial_oracle`]) bypasses buffering and
-//! generates each record at its consumption site, verifying that the
-//! prefill machinery neither skips, duplicates, nor reorders records.
+//! Each record costs a fixed number of `next_u64` calls on its own stream
+//! (the rand shim's one-draw-per-typed-value guarantee), so the record
+//! sequence per stream is a pure function of the seed — independent of
+//! batching and buffer sizes. The serial oracle
+//! ([`LaneSet::use_serial_oracle`]) bypasses buffering and generates each
+//! record at its consumption site, verifying that the prefill neither
+//! skips, duplicates, nor reorders records.
 
 use fastcap_core::seed::derive_seed;
 use rand::rngs::SmallRng;
@@ -221,10 +219,6 @@ struct Lane {
     think: StreamBuf<f64>,
     access: StreamBuf<AccessDraw>,
     meter: StreamBuf<f64>,
-    /// Inline `lane_sync` count attributed to this lane (summed by
-    /// [`LaneSet::lane_syncs`]; per-lane so parallel prefill tasks never
-    /// share a counter).
-    syncs: u64,
 }
 
 impl Lane {
@@ -234,12 +228,10 @@ impl Lane {
             think: StreamBuf::new(derive_seed(ls, STREAM_THINK), think_cap),
             access: StreamBuf::new(derive_seed(ls, STREAM_ACCESS), access_cap),
             meter: StreamBuf::new(derive_seed(ls, STREAM_METER), 1),
-            syncs: 0,
         }
     }
 
-    fn prefill(&mut self, cum: &[f64], banks: usize, meter_on: bool) {
-        let syncs = &mut self.syncs;
+    fn prefill(&mut self, cum: &[f64], banks: usize, meter_on: bool, syncs: &mut u64) {
         self.think.prefill(gen_think, syncs);
         self.access
             .prefill(|rng| gen_access(rng, cum, banks), syncs);
@@ -260,24 +252,19 @@ impl std::fmt::Debug for Lane {
 }
 
 /// The full lane partition of one server: one [`Lane`] per core plus the
-/// memory/meter lane (index `n_cores`), the physical lane pool, and the
-/// logical sync-op counters.
+/// memory/meter lane (index `n_cores`), and the sync-op counters.
 pub(crate) struct LaneSet {
     server_seed: u64,
     lanes: Vec<Lane>,
     /// The memory subsystem's meter stream (lane index `n_cores`).
     mem_meter: StreamBuf<f64>,
-    mem_syncs: u64,
     /// Construction-fixed cumulative interleaving distribution.
     ctrl_cum: Vec<f64>,
     banks: usize,
-    /// Physical prefill threads (`SimConfig::lanes`, capped to the core
-    /// count). The pool holds `threads - 1` parked workers; the epoch
-    /// barrier's caller participates.
-    threads: usize,
-    pool: Option<rayon::LanePool>,
     /// Serial-oracle mode: generate every record at its consumption site.
     oracle: bool,
+    /// Stream refills across every lane (`lane_sync` ops).
+    syncs: u64,
     barrier_waits: u64,
 }
 
@@ -288,13 +275,11 @@ impl LaneSet {
         ctrl_cum: Vec<f64>,
         banks: usize,
         think_cap: usize,
-        threads: usize,
     ) -> Self {
         // Access records per think cycle are bounded by the burst size;
         // bursts are small (tens), so a generous fixed cap suffices —
         // overruns fall back to inline refills either way.
         let access_cap = think_cap.saturating_mul(64).clamp(1, 1 << 16);
-        let threads = threads.clamp(1, n_cores.max(1));
         LaneSet {
             server_seed,
             lanes: (0..n_cores as u64)
@@ -304,12 +289,10 @@ impl LaneSet {
                 derive_seed(derive_seed(server_seed, n_cores as u64), STREAM_METER),
                 1,
             ),
-            mem_syncs: 0,
             ctrl_cum,
             banks,
-            threads,
-            pool: (threads > 1).then(|| rayon::LanePool::new(threads - 1)),
             oracle: false,
+            syncs: 0,
             barrier_waits: 0,
         }
     }
@@ -320,13 +303,6 @@ impl LaneSet {
     /// record sequence is unchanged — only the machinery around it.
     pub fn use_serial_oracle(&mut self) {
         self.oracle = true;
-        self.pool = None;
-    }
-
-    /// Whether the serial oracle is active (oracle servers report no
-    /// `lane_sync`/`barrier_wait` ops).
-    pub fn is_oracle(&self) -> bool {
-        self.oracle
     }
 
     /// The construction-time activity-stagger jitter for `core`, uniform
@@ -338,82 +314,60 @@ impl LaneSet {
 
     /// Next think sample for `core`: the pre-logged `-ln(u)` factor.
     pub fn next_think(&mut self, core: usize) -> f64 {
-        let lane = &mut self.lanes[core];
-        lane.think
-            .next(gen_think, REFILL_BATCH, self.oracle, &mut lane.syncs)
+        self.lanes[core]
+            .think
+            .next(gen_think, REFILL_BATCH, self.oracle, &mut self.syncs)
     }
 
     /// Next memory-access record for `core`.
     pub fn next_access(&mut self, core: usize) -> AccessDraw {
         let (cum, banks) = (&self.ctrl_cum, self.banks);
-        let lane = &mut self.lanes[core];
-        lane.access.next(
+        self.lanes[core].access.next(
             |rng| gen_access(rng, cum, banks),
             REFILL_BATCH,
             self.oracle,
-            &mut lane.syncs,
+            &mut self.syncs,
         )
     }
 
     /// Next meter-noise sample for `core`.
     pub fn next_meter(&mut self, core: usize) -> f64 {
-        let lane = &mut self.lanes[core];
-        lane.meter.next(gen_meter, 1, self.oracle, &mut lane.syncs)
+        self.lanes[core]
+            .meter
+            .next(gen_meter, 1, self.oracle, &mut self.syncs)
     }
 
     /// Next meter-noise sample for the memory subsystem (lane `n_cores`).
     pub fn next_mem_meter(&mut self) -> f64 {
         self.mem_meter
-            .next(gen_meter, 1, self.oracle, &mut self.mem_syncs)
+            .next(gen_meter, 1, self.oracle, &mut self.syncs)
     }
 
-    /// The epoch-boundary hard barrier: refills every lane's streams to
-    /// their adaptive targets, in parallel across the physical lane pool
-    /// when one is configured. Exactly one `barrier_wait` per call; lane
-    /// refills count `lane_sync`s identically at any thread count.
+    /// The epoch-boundary barrier: refills every lane's streams to their
+    /// adaptive targets. Exactly one `barrier_wait` per call.
     pub fn epoch_barrier(&mut self, meter_on: bool) {
         if self.oracle {
             return;
         }
         self.barrier_waits += 1;
         let (cum, banks) = (&self.ctrl_cum, self.banks);
-        match &self.pool {
-            Some(pool) if self.lanes.len() > 1 => {
-                let tasks: Vec<Box<dyn FnOnce() + Send>> = self
-                    .lanes
-                    .iter_mut()
-                    .map(|lane| {
-                        Box::new(move || lane.prefill(cum, banks, meter_on))
-                            as Box<dyn FnOnce() + Send>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-            _ => {
-                for lane in &mut self.lanes {
-                    lane.prefill(cum, banks, meter_on);
-                }
-            }
+        for lane in &mut self.lanes {
+            lane.prefill(cum, banks, meter_on, &mut self.syncs);
         }
         if meter_on {
-            self.mem_meter.prefill(gen_meter, &mut self.mem_syncs);
+            self.mem_meter.prefill(gen_meter, &mut self.syncs);
         }
     }
 
-    /// Cumulative logical lane-stream refills (identical at any physical
-    /// lane count; zero in oracle mode).
+    /// Cumulative lane-stream refills, inline and at barriers (zero in
+    /// oracle mode).
     pub fn lane_syncs(&self) -> u64 {
-        self.lanes.iter().map(|l| l.syncs).sum::<u64>() + self.mem_syncs
+        self.syncs
     }
 
     /// Cumulative epoch barriers (zero in oracle mode).
     pub fn barrier_waits(&self) -> u64 {
         self.barrier_waits
-    }
-
-    /// Physical prefill threads in force.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Cumulative records consumed from `core`'s lane across all of its
@@ -436,7 +390,7 @@ impl LaneSet {
 /// with epoch count, so a joint fit cannot separate them).
 #[must_use]
 pub fn lane_calibration_probe(rounds: u64) -> (u64, u64) {
-    let mut ls = LaneSet::new(0xFA57_CA11, 4, vec![1.0], 8, 256, 1);
+    let mut ls = LaneSet::new(0xFA57_CA11, 4, vec![1.0], 8, 256);
     for _ in 0..rounds {
         for core in 0..4 {
             for _ in 0..96 {
@@ -454,7 +408,6 @@ impl std::fmt::Debug for LaneSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaneSet")
             .field("lanes", &self.lanes.len())
-            .field("threads", &self.threads)
             .field("oracle", &self.oracle)
             .field("barrier_waits", &self.barrier_waits)
             .finish()
@@ -465,8 +418,8 @@ impl std::fmt::Debug for LaneSet {
 mod tests {
     use super::*;
 
-    fn set(threads: usize) -> LaneSet {
-        LaneSet::new(42, 4, vec![1.0], 32, 1000, threads)
+    fn set() -> LaneSet {
+        LaneSet::new(42, 4, vec![1.0], 32, 1000)
     }
 
     /// Drains `n` records from every stream of every core lane, returning
@@ -502,25 +455,25 @@ mod tests {
         out
     }
 
+    /// Inline refills, a barrier prefill and the serial oracle all yield
+    /// the same records.
     #[test]
     fn streams_are_identical_across_thread_counts_and_oracle() {
-        let mut reference = set(1);
+        let mut reference = set();
         let baseline = drain(&mut reference, 50);
-        for threads in [2, 4] {
-            let mut ls = set(threads);
-            ls.epoch_barrier(true);
-            assert_eq!(drain(&mut ls, 50), baseline, "threads={threads}");
-        }
-        let mut oracle = set(1);
+        let mut prefilled = set();
+        prefilled.epoch_barrier(true);
+        assert_eq!(drain(&mut prefilled, 50), baseline, "barrier prefill");
+        let mut oracle = set();
         oracle.use_serial_oracle();
         assert_eq!(drain(&mut oracle, 50), baseline, "serial oracle");
     }
 
     #[test]
     fn barriers_and_prefill_do_not_shift_streams() {
-        let mut plain = set(1);
+        let mut plain = set();
         let baseline = drain_cores(&mut plain, 30);
-        let mut barriered = set(1);
+        let mut barriered = set();
         // Many barriers with consumption in between: the prefill targets
         // adapt, the per-lane record sequences must not move.
         let mut out = vec![Vec::new(); 4];
@@ -536,8 +489,8 @@ mod tests {
     #[test]
     fn lanes_are_independent_streams() {
         // Consuming heavily from lane 0 must not move lane 1.
-        let mut a = set(1);
-        let mut b = set(1);
+        let mut a = set();
+        let mut b = set();
         for _ in 0..500 {
             a.next_think(0);
             a.next_access(0);
@@ -547,25 +500,35 @@ mod tests {
         assert_eq!(t1, t1b);
     }
 
+    /// Sync ops count per-lane consumption, not the order in which the
+    /// event loop interleaves lanes: lane by lane or round robin, the
+    /// counts agree.
     #[test]
     fn sync_ops_are_logical_and_thread_invariant() {
-        let mut counts = Vec::new();
-        for threads in [1, 2, 4] {
-            let mut ls = set(threads);
-            for _ in 0..4 {
-                ls.epoch_barrier(true);
-                drain(&mut ls, 20);
+        let mut lane_by_lane = set();
+        let mut round_robin = set();
+        for _ in 0..4 {
+            lane_by_lane.epoch_barrier(true);
+            drain(&mut lane_by_lane, 20);
+            round_robin.epoch_barrier(true);
+            for _ in 0..20 {
+                for core in 0..4 {
+                    round_robin.next_think(core);
+                    round_robin.next_access(core);
+                    round_robin.next_meter(core);
+                }
             }
-            counts.push((ls.lane_syncs(), ls.barrier_waits()));
+            round_robin.next_mem_meter();
         }
-        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
-        assert!(counts[0].0 > 0);
-        assert_eq!(counts[0].1, 4);
+        let counts = |ls: &LaneSet| (ls.lane_syncs(), ls.barrier_waits());
+        assert_eq!(counts(&lane_by_lane), counts(&round_robin));
+        assert!(lane_by_lane.lane_syncs() > 0);
+        assert_eq!(lane_by_lane.barrier_waits(), 4);
     }
 
     #[test]
     fn oracle_reports_no_sync_ops() {
-        let mut ls = set(1);
+        let mut ls = set();
         ls.use_serial_oracle();
         ls.epoch_barrier(true);
         drain(&mut ls, 20);
@@ -575,7 +538,7 @@ mod tests {
 
     #[test]
     fn lane_draws_counts_consumption_per_lane() {
-        let mut ls = set(1);
+        let mut ls = set();
         assert_eq!(ls.lane_draws(2), 0);
         ls.next_think(2);
         ls.next_access(2);
@@ -586,7 +549,7 @@ mod tests {
 
     #[test]
     fn jitter_is_per_lane_deterministic_and_bounded() {
-        let ls = set(1);
+        let ls = set();
         for core in 0..4 {
             let j = ls.jitter(core, 1000);
             assert!(j <= 1000);
@@ -597,7 +560,7 @@ mod tests {
 
     #[test]
     fn think_cap_bounds_the_prefill_target() {
-        let mut ls = LaneSet::new(7, 1, vec![1.0], 8, 10, 1);
+        let mut ls = LaneSet::new(7, 1, vec![1.0], 8, 10);
         // Consume an exact multiple of the inline batch so the buffer is
         // empty, then barrier: despite 384 consumed last epoch, the
         // conservative-lookahead cap limits the prefill to 10 records.

@@ -93,9 +93,9 @@ impl ControlAction {
 #[derive(Debug)]
 pub struct Server {
     cfg: SimConfig,
-    /// Per-core draw lanes (determinism contract v2, DESIGN.md §11): one
-    /// private RNG stream partition per core plus a memory/meter lane,
-    /// prefilled in parallel at every epoch barrier.
+    /// Per-core draw lanes (DESIGN.md §11): one private RNG stream
+    /// partition per core plus a memory/meter lane, prefilled at every
+    /// epoch barrier.
     lanes: LaneSet,
     queue: EventQueue,
     now: Ps,
@@ -187,21 +187,14 @@ impl Server {
         };
         let l2_ps = to_ps(cfg.l2_time);
         let service_hit = to_ps(cfg.dram.bank_service_time(true));
-        // Conservative lookahead (contract v2): a core cannot consume more
+        // Conservative lookahead (DESIGN.md §11): a core cannot consume more
         // than one think sample per minimum in-flight round trip (1 ps
         // think + L2 + row-hit service + fastest bus transfer), so the
         // per-epoch prefill target is capped at span / that bound.
         let span = to_ps(cfg.sim_epoch_length());
         let min_cycle = 1 + l2_ps + service_hit + bus_tbl[max_mem];
         let think_cap = (span / min_cycle.max(1)) as usize + 64;
-        let lanes = LaneSet::new(
-            seed,
-            cfg.n_cores,
-            cum,
-            cfg.banks_per_controller,
-            think_cap,
-            cfg.lanes,
-        );
+        let lanes = LaneSet::new(seed, cfg.n_cores, cum, cfg.banks_per_controller, think_cap);
         let mut server = Self {
             l2_ps,
             bus_transfer: bus_tbl[max_mem],
@@ -281,7 +274,7 @@ impl Server {
     }
 
     /// Cumulative draw records consumed from `core`'s lane streams
-    /// (contract v2's per-lane counterpart of [`Server::rng_draws`]): an
+    /// (the per-lane counterpart of [`Server::rng_draws`]): an
     /// offline core's lane freezes — no think, access, or meter records
     /// are taken on its behalf until it comes back online.
     ///
@@ -294,23 +287,12 @@ impl Server {
 
     /// Switches draw generation to the serial byte-exact oracle: every
     /// record is generated at its consumption site, one at a time, with no
-    /// epoch prefill, no lane pool, and no `lane_sync`/`barrier_wait`
-    /// accounting. Artifact bytes are identical to the lane engine's by
-    /// contract v2 (proptested in `tests/proptests.rs`); the oracle exists
-    /// to verify exactly that, the way `HeapQueue` verifies the timing
-    /// wheel.
+    /// epoch prefill and no `lane_sync`/`barrier_wait` accounting.
+    /// Artifact bytes are identical to the prefilled lanes' (proptested in
+    /// `tests/lane_oracle.rs`); the oracle exists to verify exactly that,
+    /// the way `HeapQueue` verifies the timing wheel.
     pub fn use_serial_oracle(&mut self) {
         self.lanes.use_serial_oracle();
-    }
-
-    /// Physical lane-pool width in force (`SimConfig::lanes` capped to the
-    /// core count); 1 after [`Server::use_serial_oracle`].
-    pub fn lane_threads(&self) -> usize {
-        if self.lanes.is_oracle() {
-            1
-        } else {
-            self.lanes.threads()
-        }
     }
 
     /// Total events consumed from the queue since construction — the
@@ -321,9 +303,8 @@ impl Server {
 
     /// Deterministic operation counts attributable to this server's
     /// discrete-event machinery: queue pushes/pops, attributed RNG draws,
-    /// and the lane engine's logical sync ops (stream refills and epoch
-    /// barriers — counted identically at any physical lane count, zero
-    /// under the serial oracle). Counts are cumulative since construction
+    /// and the draw lanes' sync ops (stream refills and epoch barriers,
+    /// zero under the serial oracle). Counts are cumulative since construction
     /// and identical for either event-queue implementation.
     pub fn cost(&self) -> fastcap_core::cost::CostCounter {
         fastcap_core::cost::CostCounter {
@@ -441,8 +422,8 @@ impl Server {
             ctl.counters.reset();
             ctl.activity.reset();
         }
-        // Epoch boundary = hard barrier: refill every lane's draw streams
-        // (in parallel across the lane pool) before the event loop runs.
+        // Epoch boundary = barrier: refill every lane's draw streams
+        // before the event loop runs.
         self.lanes.epoch_barrier(self.cfg.meter_noise > 0.0);
 
         self.advance_until(end);

@@ -56,13 +56,15 @@ pub struct DecisionRecord {
     pub decide_ns: u64,
 }
 
-/// Lane-engine activity over one epoch: logical counts only, identical at
-/// any physical `--lanes` width (contract v2).
+/// Draw-lane activity over one epoch (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneRecord {
     /// Epoch index within the run.
     pub epoch: u64,
-    /// RNG draws generated into lane streams this epoch (prefill depth).
+    /// Sampling events the backend consumed this epoch: the delta of its
+    /// cost counter's `rng_draws` (think samples, burst issues, meter
+    /// samples). Not a prefill depth; the name is kept because it is the
+    /// exported key of pinned trace bytes.
     pub prefill_draws: u64,
     /// Lane-stream refills at conservative sync points (refill fallbacks).
     pub refill_fallbacks: u64,
@@ -96,7 +98,7 @@ pub enum TraceEvent {
         /// Human-readable detail (new fraction, mask, target node…).
         detail: String,
     },
-    /// Lane-engine counters for one epoch.
+    /// Draw-lane counters for one epoch.
     Lane(LaneRecord),
     /// A fleet budget-tree allocation at one interior node for one epoch.
     TreeAlloc {

@@ -3,7 +3,8 @@
 //!
 //! Track layout (per stream = one Chrome "process"): tid 0 carries epoch
 //! spans, tid 1 decision instants, tid 2 control instants, tid 3 the
-//! lane-engine counter track, tid 4 tree-node counter tracks. Per-core
+//! draw-lane counter track (`lane_engine`), tid 4 tree-node counter
+//! tracks. Per-core
 //! frequency counter tracks and per-node committed-watts tracks are
 //! *derived* at export time from decision / tree events, so they cost no
 //! ring-buffer capacity during the run.

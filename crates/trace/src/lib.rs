@@ -6,9 +6,8 @@
 //! clock**: cumulative [`fastcap_core::cost::CostCounter`] deltas priced by
 //! the checked-in `COST_MODEL.json` per-op nanosecond weights. No wall
 //! clock is ever read, so trace bytes are a pure function of (repo state,
-//! `--seed`) and are invariant at any `--jobs` / `--lanes` level — traces
-//! themselves are golden-pinnable, just like artifact bytes (determinism
-//! contract v2, DESIGN.md §12).
+//! `--seed`) and are invariant at any `--jobs` level — traces themselves
+//! are golden-pinnable, just like artifact bytes (DESIGN.md §11, §12).
 //!
 //! Design rules:
 //!

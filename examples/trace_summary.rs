@@ -13,7 +13,7 @@
 //!
 //! The latency column is *modeled* time: `decide_ns` is the policy's
 //! per-epoch cost-counter delta priced by `COST_MODEL.json`, so the
-//! numbers are byte-stable across machines and `--jobs`/`--lanes`.
+//! numbers are byte-stable across machines and `--jobs` levels.
 
 use serde_json::Value;
 use std::collections::BTreeMap;

@@ -6,8 +6,10 @@
 //! of that: every unit of work is an independent, coarse-grained closure
 //! over an indexed work list, so a shared atomic cursor over `0..len`
 //! plus one OS thread per job slot saturates the hardware just as well.
-//! The API is kept rayon-shaped ([`join`], [`current_num_threads`]) so a
-//! future swap to the real crate is mechanical.
+//! The API is kept rayon-shaped ([`current_num_threads`]) so a future
+//! swap to the real crate is mechanical. It is the workspace's only
+//! thread machinery: `repro --jobs N` sizes it, and a simulation itself
+//! always runs on one thread (DESIGN.md §11).
 //!
 //! Guarantees relied on by callers:
 //!
@@ -18,9 +20,9 @@
 //! * **No detached threads** — all workers are scoped; the call returns
 //!   only after every worker has exited.
 
-use std::any::Any;
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of threads the default pool would use: the machine's available
 /// parallelism (1 when it cannot be queried).
@@ -28,26 +30,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Runs both closures, potentially in parallel, and returns both results
-/// (rayon's core primitive; here: one scoped thread for `b`).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = match hb.join() {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
 }
 
 /// Maps `f` over `0..len` on up to `threads` worker threads and returns
@@ -115,190 +97,9 @@ where
         .collect()
 }
 
-/// A task queued on a [`LanePool`]. Lifetime-erased: see `LanePool::run`
-/// for the soundness argument.
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    queue: Vec<PoolTask>,
-    /// Tasks queued or currently executing in the active round.
-    pending: usize,
-    /// First panic payload observed this round; re-raised by `run`.
-    panic: Option<Box<dyn Any + Send>>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals workers that tasks arrived (or shutdown was requested).
-    work_cv: Condvar,
-    /// Signals the `run` caller that `pending` reached zero.
-    done_cv: Condvar,
-}
-
-impl PoolShared {
-    /// Pops and executes queued tasks until the queue is empty, catching
-    /// panics (first payload wins) and decrementing `pending` per task.
-    fn drain(&self) {
-        loop {
-            let task = {
-                let mut st = self.state.lock().unwrap();
-                match st.queue.pop() {
-                    Some(t) => t,
-                    None => return,
-                }
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-            let mut st = self.state.lock().unwrap();
-            if let Err(payload) = result {
-                st.panic.get_or_insert(payload);
-            }
-            st.pending -= 1;
-            if st.pending == 0 {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// A persistent scoped worker pool for barrier-style rounds of borrowed
-/// tasks.
-///
-/// [`par_map_indexed`] and [`join`] spawn and join OS threads per call —
-/// fine for coarse sweeps, ruinous for a per-epoch barrier loop that
-/// fires thousands of small rounds. `LanePool` keeps its workers parked
-/// on a condvar between rounds: [`LanePool::run`] hands one closure to
-/// each lane, the caller participates in draining the queue, and the
-/// call returns only after every task of the round has finished (the
-/// barrier). Panics in any task are re-raised on the caller after the
-/// round completes, so the pool is never left mid-round.
-///
-/// With `workers == 0` the pool is a free inline executor: `run`
-/// executes every task on the caller, no threads, no locks held across
-/// user code — a serial round is byte-for-byte the plain loop.
-pub struct LanePool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for LanePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LanePool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl LanePool {
-    /// Creates a pool with `workers` parked helper threads. The caller of
-    /// [`LanePool::run`] always participates too, so total parallelism per
-    /// round is `workers + 1`.
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: Vec::new(),
-                pending: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    {
-                        let mut st = shared.state.lock().unwrap();
-                        while st.queue.is_empty() && !st.shutdown {
-                            st = shared.work_cv.wait(st).unwrap();
-                        }
-                        if st.queue.is_empty() && st.shutdown {
-                            return;
-                        }
-                    }
-                    shared.drain();
-                })
-            })
-            .collect();
-        LanePool {
-            shared,
-            workers: handles,
-        }
-    }
-
-    /// Number of parked helper threads (parallelism is this plus the
-    /// caller).
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Runs one barrier round: queues every task, wakes the workers,
-    /// drains alongside them, and returns once all tasks have completed.
-    ///
-    /// Tasks may borrow from the caller's stack (`'env`), like
-    /// `std::thread::scope`. The lifetime erasure below is sound because
-    /// this method does not return until `pending == 0`, i.e. every
-    /// erased closure has already been dropped, so no borrow outlives
-    /// the call.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first observed task panic after the round barrier.
-    pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            debug_assert_eq!(st.pending, 0, "LanePool::run re-entered mid-round");
-            st.pending = tasks.len();
-            st.queue.extend(tasks.into_iter().map(|t| {
-                // SAFETY: `run` blocks until every queued task has
-                // executed and been dropped (the `pending == 0` wait
-                // below), so nothing borrowed by the closure outlives
-                // this stack frame.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, PoolTask>(t) }
-            }));
-            self.shared.work_cv.notify_all();
-        }
-        // The caller is a worker too: it drains the queue until empty,
-        // then parks on the done condvar for the stragglers.
-        self.shared.drain();
-        let mut st = self.shared.state.lock().unwrap();
-        while st.pending > 0 {
-            st = self.shared.done_cv.wait(st).unwrap();
-        }
-        if let Some(payload) = st.panic.take() {
-            drop(st);
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for LanePool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -346,83 +147,5 @@ mod tests {
     #[test]
     fn current_num_threads_is_positive() {
         assert!(current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn lane_pool_runs_borrowed_tasks() {
-        for workers in [0, 1, 3] {
-            let pool = LanePool::new(workers);
-            let mut slots = vec![0u64; 8];
-            {
-                let tasks: Vec<Box<dyn FnOnce() + Send>> = slots
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        Box::new(move || *slot = (i as u64 + 1) * 10) as Box<dyn FnOnce() + Send>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-            assert_eq!(
-                slots,
-                (1..=8).map(|i| i * 10).collect::<Vec<u64>>(),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_pool_is_reusable_across_rounds() {
-        let pool = LanePool::new(2);
-        let counter = AtomicUsize::new(0);
-        for _ in 0..50 {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                .map(|_| {
-                    let counter = &counter;
-                    Box::new(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run(tasks);
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn lane_pool_propagates_panics_and_survives() {
-        let pool = LanePool::new(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                .map(|i| {
-                    Box::new(move || {
-                        if i == 2 {
-                            panic!("lane boom");
-                        }
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run(tasks);
-        }));
-        assert!(r.is_err(), "panic must resurface on the caller");
-        // The pool must be usable for the next round.
-        let ok = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-            .map(|_| {
-                let ok = &ok;
-                Box::new(move || {
-                    ok.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool.run(tasks);
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn lane_pool_empty_round_is_a_noop() {
-        let pool = LanePool::new(1);
-        pool.run(Vec::new());
-        assert_eq!(pool.workers(), 1);
     }
 }
