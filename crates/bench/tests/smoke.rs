@@ -88,6 +88,32 @@ fn repro_rejects_unknown_artifacts_with_usage() {
 }
 
 #[test]
+fn repro_rejects_invalid_lane_counts_with_usage() {
+    // `--lanes` is gone (`--jobs` is the only thread knob), so any lane
+    // count, valid or not, must exit non-zero and print the usage string:
+    // a stale `--lanes` may never be silently ignored.
+    for bad in [
+        &["fig3", "--lanes", "0"][..],
+        &["fig3", "--lanes", "two"],
+        &["fig3", "--lanes"],
+        &["fig3", "--lanes", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(bad)
+            .output()
+            .expect("run repro with --lanes");
+        assert!(
+            !out.status.success(),
+            "repro {bad:?} must exit non-zero, got {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown flag --lanes"), "{stderr}");
+        assert!(stderr.contains("usage: repro"), "{stderr}");
+    }
+}
+
+#[test]
 fn tab1_theory_rows_cover_the_paper() {
     let tables = experiments::run("tab1", &quick_opts()).unwrap();
     let theory = tables.iter().find(|t| t.id == "tab1_theory").unwrap();
