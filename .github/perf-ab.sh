@@ -14,9 +14,14 @@
 # `cargo run --release --offline --manifest-path perfbench/Cargo.toml`
 # makes, so a tree that has already run perfbench is not rebuilt.
 #
-# perf-ab/ at the repository root receives each run's final JSON line,
-# one file per build and workload (`base-scn-matrix.jsonl`, ...), and
-# summary.txt.
+# perf-ab/ at the repository root receives each run's `# ...` header
+# line and its final JSON line, one file of each per build and workload
+# (`base-scn-matrix.headers`, `base-scn-matrix.jsonl`, ...), and
+# summary.txt. Besides the verdict, the summary says for each workload
+# whether HEAD's digests equal BASE's (same simulated outputs) and lists
+# every run's `decides=`, which on `fleet-settle` must stay below
+# perfbench's 2^20 decide-sample room. Neither is a failure condition: a
+# deliberate re-golden changes digests.
 set -euo pipefail
 
 base_rev=${1:?usage: .github/perf-ab.sh BASE_REV}
@@ -28,7 +33,7 @@ seconds=5
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 mkdir -p "$out"
-rm -f "$out"/*.jsonl "$out/summary.txt"
+rm -f "$out"/*.jsonl "$out"/*.headers "$out/summary.txt"
 
 wt=$(mktemp -d)
 trap 'git worktree remove --force "$wt" >/dev/null 2>&1 || rm -rf "$wt"' EXIT
@@ -41,9 +46,11 @@ done
 run() { # run <base|head> <workload>
   local tree=$root
   [ "$1" = base ] && tree=$wt
-  "$tree/perfbench/target/release/perfbench" \
-    --workload "$2" --seed 42 --seconds "$seconds" --trace 0 \
-    | tail -n 1 >> "$out/$1-$2.jsonl"
+  local lines
+  lines=$("$tree/perfbench/target/release/perfbench" \
+    --workload "$2" --seed 42 --seconds "$seconds" --trace 0)
+  grep '^# ' <<<"$lines" >> "$out/$1-$2.headers"
+  tail -n 1 <<<"$lines" >> "$out/$1-$2.jsonl"
 }
 
 for w in "${workloads[@]}"; do
@@ -58,7 +65,7 @@ for w in "${workloads[@]}"; do
 done
 
 python3 - "$out" "${workloads[@]}" <<'EOF' | tee "$out/summary.txt"
-import json, statistics, sys
+import json, re, statistics, sys
 
 out, workloads = sys.argv[1], sys.argv[2:]
 bounds = {m["name"]: m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
@@ -83,5 +90,12 @@ for w in workloads:
     print(f"{w}: epochs_per_s median base {speed[0]:.1f} head {speed[1]:.1f} "
           f"ratio {speed[2]:.3f}; peak_rss_mb median base {rss[0]:.2f} head {rss[1]:.2f} "
           f"ratio {rss[2]:.3f} ({verdict})")
+    fields = {b: [dict(re.findall(r"(\w+)=(\S+)", l)) for l in open(f"{out}/{b}-{w}.headers")]
+              for b in ("base", "head")}
+    digests = {b: sorted({h["digest"] for h in hs}) for b, hs in fields.items()}
+    same = "equal" if digests["base"] == digests["head"] else "DIFFER"
+    print(f"  digests {same}: base {' '.join(digests['base'])} head {' '.join(digests['head'])}")
+    print("  decides: " + "; ".join(
+        f"{b} {' '.join(h['decides'] for h in hs)}" for b, hs in fields.items()))
 sys.exit(0 if ok else 1)
 EOF

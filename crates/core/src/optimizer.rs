@@ -171,7 +171,7 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
     if p_max <= core_budget {
         return Ok(Some(point.solution(
             d_max,
-            false,
+            Some(p_max),
             mem_dyn,
             model.static_power,
         )));
@@ -200,7 +200,7 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
         iters += 1;
     }
     let d = 0.5 * (lo + hi);
-    Ok(Some(point.solution(d, true, mem_dyn, model.static_power)))
+    Ok(Some(point.solution(d, None, mem_dyn, model.static_power)))
 }
 
 /// One bus point's per-core constants and its deterministic work meter.
@@ -338,22 +338,28 @@ impl<'a> BusPoint<'a> {
         (under, over)
     }
 
-    /// Think times, scales and predicted power at `d`, in one pass whose
-    /// power sum is bit-equal to [`BusPoint::power`]'s.
+    /// Think times, scales and predicted power at `d`, in one pass.
+    /// `unbound_power` is the core power an unbound point already summed at
+    /// `d = d_max`; the point is then not budget-bound and the pass sums
+    /// no power. Otherwise the pass sums it, bit-equal to
+    /// [`BusPoint::power`]'s. Either way it counts `N` terms.
     fn solution(
         mut self,
         d: f64,
-        budget_bound: bool,
+        unbound_power: Option<f64>,
         mem_dyn: Watts,
         static_power: Watts,
     ) -> BusPointSolution {
         let n = self.cores.len();
+        let budget_bound = unbound_power.is_none();
         let mut think_times = Vec::with_capacity(n);
         let mut core_scales = Vec::with_capacity(n);
         let mut p = 0.0;
         for (i, c) in self.cores.iter().enumerate() {
             let (z, scale) = self.term(i, d);
-            p += c.power.dynamic_power(scale).get();
+            if budget_bound {
+                p += c.power.dynamic_power(scale).get();
+            }
             let z = z.max(c.min_think_time.get());
             think_times.push(Secs(z));
             core_scales.push((c.min_think_time.get() / z).min(1.0));
@@ -363,7 +369,7 @@ impl<'a> BusPoint<'a> {
             degradation: d,
             think_times,
             core_scales,
-            predicted_power: Watts(p) + mem_dyn + static_power,
+            predicted_power: Watts(unbound_power.unwrap_or(p)) + mem_dyn + static_power,
             budget_bound,
             core_terms: self.terms,
         }

@@ -20,6 +20,13 @@
 //! and the policy interface are bit-compatible with the DES backend
 //! ([`crate::power_model`] is shared), so the two can be cross-validated —
 //! see `tests/analytic_vs_des.rs` at the workspace root.
+//!
+//! Each fixed-point iteration makes two passes over the cores: one
+//! reduction pass that sums the offered transfer rate `Λ` and its
+//! service-weighted sum with two accumulators in core order, and one
+//! rate-update pass with no reduction in it. The order of the sums is
+//! part of the byte contract; a test twin keeps the older three-reduction
+//! form and a proptest holds the two equal bit for bit (DESIGN.md §15).
 
 use crate::config::SimConfig;
 use crate::core_model::CoreSim;
@@ -222,62 +229,48 @@ impl AnalyticServer {
                     .get()
             })
             .collect();
-        let wb: Vec<f64> = self.cores.iter().map(|c| c.wb_prob).collect();
         let burst: Vec<f64> = self.cores.iter().map(|c| c.burst as f64).collect();
+        let one_plus_wb: Vec<f64> = self.cores.iter().map(|c| 1.0 + c.wb_prob).collect();
 
         let mut rate: Vec<f64> = (0..n).map(|i| 1.0 / (think[i] + s_m_c[i] + s_b)).collect();
-        let mut response = s_m_c.clone();
         let (mut rho_bus, mut w_bus, mut w_bank, mut s_eff_mean, mut s_m_mean) =
             (0.0, 0.0, 0.0, 0.0, 0.0);
         for _ in 0..ITERATIONS {
-            // Offered transfer rate: every burst member plus its writeback.
-            let lambda: f64 = rate
-                .iter()
-                .zip(&burst)
-                .zip(&wb)
-                .map(|((&x, &b), &w)| x * b * (1.0 + w))
-                .sum();
+            // Offered transfer rate (every burst member plus its writeback)
+            // and its service-weighted sum, in one pass in core order.
+            let (mut lambda, mut weighted) = (0.0, 0.0);
+            for (((&x, &b), &w1), &s) in rate.iter().zip(&burst).zip(&one_plus_wb).zip(&s_m_c) {
+                let t = x * b * w1;
+                lambda += t;
+                weighted += t * s;
+            }
             rho_bus = (lambda * s_b).min(RHO_MAX);
             w_bus = s_b * rho_bus / (1.0 - rho_bus);
 
-            // Rate-weighted mean service times.
-            let wsum: f64 = rate
-                .iter()
-                .zip(&burst)
-                .zip(&wb)
-                .map(|((&x, &b), &w)| x * b * (1.0 + w))
-                .sum::<f64>()
-                .max(1e-30);
-            s_m_mean = rate
-                .iter()
-                .zip(&burst)
-                .zip(&wb)
-                .zip(&s_m_c)
-                .map(|(((&x, &b), &w), &s)| x * b * (1.0 + w) * s)
-                .sum::<f64>()
-                / wsum;
+            // Rate-weighted mean service time.
+            s_m_mean = weighted / lambda.max(1e-30);
             // Transfer blocking: the bank slot is held through the bus wait
             // and transfer.
             s_eff_mean = s_m_mean + w_bus + s_b;
             let rho_bank = (lambda / banks * s_eff_mean).min(RHO_MAX);
             w_bank = s_eff_mean * rho_bank / (1.0 - rho_bank);
 
-            // Per-core response and damped throughput update. An OoO burst
-            // overlaps its members: the stall sees one response, not m.
-            for i in 0..n {
-                response[i] = w_bank + s_m_c[i] + w_bus + s_b;
-                let x_new = 1.0 / (think[i] + response[i]);
-                rate[i] = 0.5 * rate[i] + 0.5 * x_new;
+            // Per-core response and damped throughput update, kept free of
+            // reductions (DESIGN.md §15). An OoO burst overlaps its members:
+            // the stall sees one response, not m.
+            for ((x, &z), &s) in rate.iter_mut().zip(&think).zip(&s_m_c) {
+                let response = w_bank + s + w_bus + s_b;
+                let x_new = 1.0 / (z + response);
+                *x = 0.5 * *x + 0.5 * x_new;
             }
         }
-        let lambda: f64 = rate
-            .iter()
-            .zip(&burst)
-            .zip(&wb)
-            .map(|((&x, &b), &w)| x * b * (1.0 + w))
-            .sum();
+        let (mut lambda, mut reads) = (0.0, 0.0);
+        for ((&x, &b), &w1) in rate.iter().zip(&burst).zip(&one_plus_wb) {
+            let r = x * b;
+            lambda += r * w1;
+            reads += r;
+        }
         let bank_util = (lambda * s_m_mean / banks).min(1.0);
-        let reads: f64 = rate.iter().zip(&burst).map(|(&x, &b)| x * b).sum();
         NetworkSolution {
             rate,
             rho_bus,
@@ -365,6 +358,158 @@ impl AnalyticServer {
 mod tests {
     use super::*;
     use fastcap_workloads::mixes;
+    use proptest::prelude::*;
+
+    /// The fixed point as three sequential reductions per iteration (Λ,
+    /// then the weight sum, which recomputes Λ, then the service-weighted
+    /// sum), kept as the byte-exact twin of [`AnalyticServer::solve_network`]'s
+    /// single reduction pass.
+    fn reference_solve(s: &AnalyticServer) -> NetworkSolution {
+        let n = s.cfg.n_cores;
+        let banks = s.cfg.banks_per_controller as f64;
+        let s_b = s.cfg.bus_transfer_time(s.mem_freq_idx).get();
+        let l2 = s.cfg.l2_time.get();
+
+        let think: Vec<f64> = s.cores.iter().map(|c| c.think_mean * 1e-12 + l2).collect();
+        let s_m_c: Vec<f64> = s
+            .cores
+            .iter()
+            .map(|c| {
+                s.cfg
+                    .dram
+                    .mean_service_time(c.app.profile.row_hit_ratio)
+                    .get()
+            })
+            .collect();
+        let wb: Vec<f64> = s.cores.iter().map(|c| c.wb_prob).collect();
+        let burst: Vec<f64> = s.cores.iter().map(|c| c.burst as f64).collect();
+
+        let mut rate: Vec<f64> = (0..n).map(|i| 1.0 / (think[i] + s_m_c[i] + s_b)).collect();
+        let mut response = s_m_c.clone();
+        let (mut rho_bus, mut w_bus, mut w_bank, mut s_eff_mean, mut s_m_mean) =
+            (0.0, 0.0, 0.0, 0.0, 0.0);
+        for _ in 0..ITERATIONS {
+            let lambda: f64 = rate
+                .iter()
+                .zip(&burst)
+                .zip(&wb)
+                .map(|((&x, &b), &w)| x * b * (1.0 + w))
+                .sum();
+            rho_bus = (lambda * s_b).min(RHO_MAX);
+            w_bus = s_b * rho_bus / (1.0 - rho_bus);
+            let wsum: f64 = rate
+                .iter()
+                .zip(&burst)
+                .zip(&wb)
+                .map(|((&x, &b), &w)| x * b * (1.0 + w))
+                .sum::<f64>()
+                .max(1e-30);
+            s_m_mean = rate
+                .iter()
+                .zip(&burst)
+                .zip(&wb)
+                .zip(&s_m_c)
+                .map(|(((&x, &b), &w), &s)| x * b * (1.0 + w) * s)
+                .sum::<f64>()
+                / wsum;
+            s_eff_mean = s_m_mean + w_bus + s_b;
+            let rho_bank = (lambda / banks * s_eff_mean).min(RHO_MAX);
+            w_bank = s_eff_mean * rho_bank / (1.0 - rho_bank);
+            for i in 0..n {
+                response[i] = w_bank + s_m_c[i] + w_bus + s_b;
+                let x_new = 1.0 / (think[i] + response[i]);
+                rate[i] = 0.5 * rate[i] + 0.5 * x_new;
+            }
+        }
+        let lambda: f64 = rate
+            .iter()
+            .zip(&burst)
+            .zip(&wb)
+            .map(|((&x, &b), &w)| x * b * (1.0 + w))
+            .sum();
+        let bank_util = (lambda * s_m_mean / banks).min(1.0);
+        let reads: f64 = rate.iter().zip(&burst).map(|(&x, &b)| x * b).sum();
+        NetworkSolution {
+            rate,
+            rho_bus,
+            bank_util,
+            w_bank,
+            s_eff: s_eff_mean,
+            s_m: s_m_mean,
+            w_bus,
+            read_fraction: if lambda > 0.0 { reads / lambda } else { 1.0 },
+        }
+    }
+
+    /// Every field of a solution as raw bits, so `-0.0`/`0.0` and NaN
+    /// payloads count as differences.
+    fn bits(sol: &NetworkSolution) -> Vec<u64> {
+        let scalars = [
+            sol.rho_bus,
+            sol.bank_util,
+            sol.w_bank,
+            sol.s_eff,
+            sol.s_m,
+            sol.w_bus,
+            sol.read_fraction,
+        ];
+        sol.rate
+            .iter()
+            .chain(&scalars)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// A random DVFS decision: every core and the memory at a random
+    /// ladder level.
+    fn random_levels(cfg: &SimConfig, rng: &mut SmallRng) -> DvfsDecision {
+        DvfsDecision {
+            core_freqs: (0..cfg.n_cores)
+                .map(|_| rng.gen_range(0..cfg.core_ladder.len()))
+                .collect(),
+            mem_freq: rng.gen_range(0..cfg.mem_ladder.len()),
+            predicted_power: Watts::ZERO,
+            quantized_power: Watts::ZERO,
+            budget_trim: Watts::ZERO,
+            degradation: 1.0,
+            budget_bound: false,
+            emergency: false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One reduction pass per iteration == three, bit for bit, in every
+        /// field: 1–300 cores, all 16 mixes, in-order and out-of-order
+        /// cores, random core and memory levels, after 0–3 epochs.
+        #[test]
+        fn fused_fixed_point_matches_three_reduction_twin(
+            n in 1usize..=300,
+            mix_idx in 0usize..16,
+            ooo in any::<bool>(),
+            warm_epochs in 0usize..=3,
+            levels_seed in any::<u64>(),
+        ) {
+            let padded = n.div_ceil(4) * 4;
+            let mut cfg = SimConfig::ispass(padded).unwrap();
+            if ooo {
+                cfg = cfg.out_of_order();
+            }
+            cfg.n_cores = n;
+            let mut apps = mixes::all()[mix_idx].instantiate(padded).unwrap();
+            apps.truncate(n);
+            let mut s = AnalyticServer::new(cfg, apps, levels_seed).unwrap();
+            let mut rng = SmallRng::seed_from_u64(levels_seed);
+            // `run_epoch` refreshes the cores for the levels it applies, so
+            // after the last one both solves see that epoch's state.
+            for _ in 0..=warm_epochs {
+                let d = random_levels(&s.cfg, &mut rng);
+                s.run_epoch(Some(&d));
+            }
+            prop_assert_eq!(bits(&s.solve_network()), bits(&reference_solve(&s)));
+        }
+    }
 
     fn cfg() -> SimConfig {
         SimConfig::ispass(16).unwrap().with_meter_noise(0.0)

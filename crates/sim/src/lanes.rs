@@ -29,10 +29,10 @@
 //! Each record costs a fixed number of `next_u64` calls on its own stream
 //! (the rand shim's one-draw-per-typed-value guarantee), so the record
 //! sequence per stream is a pure function of the seed — independent of
-//! batching and buffer sizes. The serial oracle
-//! ([`LaneSet::use_serial_oracle`]) bypasses buffering and generates each
-//! record at its consumption site, verifying that the prefill neither
-//! skips, duplicates, nor reorders records.
+//! batching and buffer sizes. The serial oracle (a [`LaneSet`] built with
+//! `serial_oracle` set) bypasses buffering and generates each record at
+//! its consumption site, verifying that the prefill neither skips,
+//! duplicates, nor reorders records.
 
 use fastcap_core::seed::derive_seed;
 use rand::rngs::SmallRng;
@@ -269,12 +269,16 @@ pub(crate) struct LaneSet {
 }
 
 impl LaneSet {
+    /// With `serial_oracle` set, every record is generated at its
+    /// consumption site (batch-of-one, no barrier prefill, no sync-op
+    /// accounting) from the first draw on.
     pub fn new(
         server_seed: u64,
         n_cores: usize,
         ctrl_cum: Vec<f64>,
         banks: usize,
         think_cap: usize,
+        serial_oracle: bool,
     ) -> Self {
         // Access records per think cycle are bounded by the burst size;
         // bursts are small (tens), so a generous fixed cap suffices —
@@ -291,18 +295,10 @@ impl LaneSet {
             ),
             ctrl_cum,
             banks,
-            oracle: false,
+            oracle: serial_oracle,
             syncs: 0,
             barrier_waits: 0,
         }
-    }
-
-    /// Switches to serial-oracle generation (batch-of-one at every
-    /// consumption site, no barrier prefill, no sync-op accounting).
-    /// Already-buffered records are drained first, so the per-stream
-    /// record sequence is unchanged — only the machinery around it.
-    pub fn use_serial_oracle(&mut self) {
-        self.oracle = true;
     }
 
     /// The construction-time activity-stagger jitter for `core`, uniform
@@ -390,7 +386,7 @@ impl LaneSet {
 /// with epoch count, so a joint fit cannot separate them).
 #[must_use]
 pub fn lane_calibration_probe(rounds: u64) -> (u64, u64) {
-    let mut ls = LaneSet::new(0xFA57_CA11, 4, vec![1.0], 8, 256);
+    let mut ls = LaneSet::new(0xFA57_CA11, 4, vec![1.0], 8, 256, false);
     for _ in 0..rounds {
         for core in 0..4 {
             for _ in 0..96 {
@@ -419,7 +415,11 @@ mod tests {
     use super::*;
 
     fn set() -> LaneSet {
-        LaneSet::new(42, 4, vec![1.0], 32, 1000)
+        LaneSet::new(42, 4, vec![1.0], 32, 1000, false)
+    }
+
+    fn oracle_set() -> LaneSet {
+        LaneSet::new(42, 4, vec![1.0], 32, 1000, true)
     }
 
     /// Drains `n` records from every stream of every core lane, returning
@@ -464,8 +464,7 @@ mod tests {
         let mut prefilled = set();
         prefilled.epoch_barrier(true);
         assert_eq!(drain(&mut prefilled, 50), baseline, "barrier prefill");
-        let mut oracle = set();
-        oracle.use_serial_oracle();
+        let mut oracle = oracle_set();
         assert_eq!(drain(&mut oracle, 50), baseline, "serial oracle");
     }
 
@@ -528,8 +527,7 @@ mod tests {
 
     #[test]
     fn oracle_reports_no_sync_ops() {
-        let mut ls = set();
-        ls.use_serial_oracle();
+        let mut ls = oracle_set();
         ls.epoch_barrier(true);
         drain(&mut ls, 20);
         assert_eq!(ls.lane_syncs(), 0);
@@ -560,7 +558,7 @@ mod tests {
 
     #[test]
     fn think_cap_bounds_the_prefill_target() {
-        let mut ls = LaneSet::new(7, 1, vec![1.0], 8, 10);
+        let mut ls = LaneSet::new(7, 1, vec![1.0], 8, 10, false);
         // Consume an exact multiple of the inline batch so the buffer is
         // empty, then barrier: despite 384 consumed last epoch, the
         // conservative-lookahead cap limits the prefill to 10 records.

@@ -142,6 +142,30 @@ impl Server {
     /// Returns [`Error::InvalidConfig`] for invalid configurations or an
     /// application count that does not match `n_cores`.
     pub fn new(cfg: SimConfig, apps: Vec<AppInstance>, seed: u64) -> Result<Self> {
+        Self::build(cfg, apps, seed, false)
+    }
+
+    /// Builds a server whose draw lanes run as the serial byte-exact
+    /// oracle from construction on: every record is generated at its
+    /// consumption site, one at a time, with no epoch prefill and no
+    /// `lane_sync`/`barrier_wait` accounting, so [`Self::cost`] reports
+    /// zero of both. Artifact bytes are identical to [`Self::new`]'s
+    /// (proptested in `tests/lane_oracle.rs`); the oracle exists to verify
+    /// exactly that, the way `HeapQueue` verifies the timing wheel.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::new`].
+    pub fn serial_oracle(cfg: SimConfig, apps: Vec<AppInstance>, seed: u64) -> Result<Self> {
+        Self::build(cfg, apps, seed, true)
+    }
+
+    fn build(
+        cfg: SimConfig,
+        apps: Vec<AppInstance>,
+        seed: u64,
+        serial_oracle: bool,
+    ) -> Result<Self> {
         cfg.validate()?;
         if apps.len() != cfg.n_cores {
             return Err(Error::InvalidConfig {
@@ -194,7 +218,14 @@ impl Server {
         let span = to_ps(cfg.sim_epoch_length());
         let min_cycle = 1 + l2_ps + service_hit + bus_tbl[max_mem];
         let think_cap = (span / min_cycle.max(1)) as usize + 64;
-        let lanes = LaneSet::new(seed, cfg.n_cores, cum, cfg.banks_per_controller, think_cap);
+        let lanes = LaneSet::new(
+            seed,
+            cfg.n_cores,
+            cum,
+            cfg.banks_per_controller,
+            think_cap,
+            serial_oracle,
+        );
         let mut server = Self {
             l2_ps,
             bus_transfer: bus_tbl[max_mem],
@@ -285,16 +316,6 @@ impl Server {
         self.lanes.lane_draws(core)
     }
 
-    /// Switches draw generation to the serial byte-exact oracle: every
-    /// record is generated at its consumption site, one at a time, with no
-    /// epoch prefill and no `lane_sync`/`barrier_wait` accounting.
-    /// Artifact bytes are identical to the prefilled lanes' (proptested in
-    /// `tests/lane_oracle.rs`); the oracle exists to verify exactly that,
-    /// the way `HeapQueue` verifies the timing wheel.
-    pub fn use_serial_oracle(&mut self) {
-        self.lanes.use_serial_oracle();
-    }
-
     /// Total events consumed from the queue since construction — the
     /// `event_pop` term of the deterministic cost model.
     pub fn events_popped(&self) -> u64 {
@@ -304,8 +325,9 @@ impl Server {
     /// Deterministic operation counts attributable to this server's
     /// discrete-event machinery: queue pushes/pops, attributed RNG draws,
     /// and the draw lanes' sync ops (stream refills and epoch barriers,
-    /// zero under the serial oracle). Counts are cumulative since construction
-    /// and identical for either event-queue implementation.
+    /// zero for a [`Self::serial_oracle`] server). Counts are cumulative
+    /// since construction and identical for either event-queue
+    /// implementation.
     pub fn cost(&self) -> fastcap_core::cost::CostCounter {
         fastcap_core::cost::CostCounter {
             event_pushes: self.events_scheduled(),

@@ -2,11 +2,11 @@
 //! byte-exact against the serial oracle, and per-lane streams must freeze
 //! while their core is offline.
 //!
-//! The oracle (`Server::use_serial_oracle`) generates every draw record at
-//! its consumption site with no prefill and no buffering — the role
-//! `HeapQueue` plays for the timing wheel. Equality across seeds and mixes
-//! proves the barrier/prefill machinery neither skips, duplicates nor
-//! reorders records.
+//! The oracle (`Server::serial_oracle`) generates every draw record at
+//! its consumption site with no prefill and no buffering, from its first
+//! draw on — the role `HeapQueue` plays for the timing wheel. Equality
+//! across seeds and mixes proves the barrier/prefill machinery neither
+//! skips, duplicates nor reorders records.
 
 use fastcap_sim::{ControlAction, Server, SimConfig};
 use fastcap_workloads::mixes;
@@ -14,12 +14,20 @@ use proptest::prelude::*;
 
 const MIXES: [&str; 4] = ["MIX1", "MEM1", "ILP2", "MID1"];
 
-fn build(mix: &str, n_cores: usize, seed: u64, noise: f64) -> Server {
-    let cfg = SimConfig::ispass(n_cores)
+fn cfg(n_cores: usize, noise: f64) -> SimConfig {
+    SimConfig::ispass(n_cores)
         .unwrap()
         .with_time_dilation(200.0)
-        .with_meter_noise(noise);
-    Server::for_workload(cfg, &mixes::by_name(mix).unwrap(), seed).unwrap()
+        .with_meter_noise(noise)
+}
+
+fn build(mix: &str, n_cores: usize, seed: u64, noise: f64) -> Server {
+    Server::for_workload(cfg(n_cores, noise), &mixes::by_name(mix).unwrap(), seed).unwrap()
+}
+
+fn build_oracle(mix: &str, n_cores: usize, seed: u64, noise: f64) -> Server {
+    let apps = mixes::by_name(mix).unwrap().instantiate(n_cores).unwrap();
+    Server::serial_oracle(cfg(n_cores, noise), apps, seed).unwrap()
 }
 
 proptest! {
@@ -35,8 +43,7 @@ proptest! {
     ) {
         let mix = MIXES[mix_idx];
         let noise = if noisy { 0.01 } else { 0.0 };
-        let mut oracle = build(mix, 4, seed, noise);
-        oracle.use_serial_oracle();
+        let mut oracle = build_oracle(mix, 4, seed, noise);
         let want = oracle.run(4, |_| None);
         let mut laned = build(mix, 4, seed, noise);
         let got = laned.run(4, |_| None);
@@ -46,6 +53,9 @@ proptest! {
         // One barrier per epoch, and the prefill refills streams.
         let cost = laned.cost();
         prop_assert!(cost.barrier_waits == 4 && cost.lane_syncs > 0);
+        // The oracle batches nothing, its first draws included.
+        let cost = oracle.cost();
+        prop_assert_eq!((cost.lane_syncs, cost.barrier_waits), (0, 0));
     }
 }
 
@@ -106,8 +116,7 @@ fn oracle_and_lane_engine_agree_across_hotplug() {
                 .unwrap();
         }
     };
-    let mut oracle = build("MID1", 16, 77, 0.01);
-    oracle.use_serial_oracle();
+    let mut oracle = build_oracle("MID1", 16, 77, 0.01);
     plan(&mut oracle);
     let want = oracle.run(7, |_| None);
     let mut laned = build("MID1", 16, 77, 0.01);
