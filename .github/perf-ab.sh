@@ -11,8 +11,10 @@
 # BENCHMARK.json gives that metric, or when the head's median
 # `peak_rss_mb` is above the base's by more than that metric's bound.
 # The head build is the one
-# `cargo run --release --offline --manifest-path perfbench/Cargo.toml`
+# `cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml`
 # makes, so a tree that has already run perfbench is not rebuilt.
+# `--locked` refuses a tree whose manifests would rewrite the frozen
+# perfbench/Cargo.lock.
 #
 # perf-ab/ at the repository root receives each run's `# ...` header
 # line and its final JSON line, one file of each per build and workload
@@ -40,7 +42,7 @@ trap 'git worktree remove --force "$wt" >/dev/null 2>&1 || rm -rf "$wt"' EXIT
 git worktree add --detach "$wt" "$base_rev" >/dev/null
 
 for tree in "$root" "$wt"; do
-  cargo build --release --offline -q --manifest-path "$tree/perfbench/Cargo.toml"
+  cargo build --release --offline --locked -q --manifest-path "$tree/perfbench/Cargo.toml"
 done
 
 run() { # run <base|head> <workload>

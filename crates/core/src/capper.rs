@@ -21,10 +21,9 @@ use crate::optimizer::{self, bus_candidates};
 use crate::power::{ExponentBounds, PowerLaw, PowerModelFitter, PowerSample};
 use crate::queueing::{MultiControllerModel, ResponseTimeModel};
 use crate::units::{Hz, Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FastCapConfig {
     /// Number of cores `N`.
     pub n_cores: usize,
@@ -311,7 +310,7 @@ impl FastCapConfigBuilder {
 }
 
 /// The DVFS settings chosen for the next epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsDecision {
     /// Per-core ladder indices.
     pub core_freqs: Vec<usize>,

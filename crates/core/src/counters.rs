@@ -1,9 +1,10 @@
 //! Performance-counter-shaped controller inputs (Sec. III-C).
 //!
 //! FastCap is an OS-level controller: everything it knows about the machine
-//! arrives through a handful of per-epoch hardware counters, collected
-//! during a short *profiling phase* (300 µs by default) at the start of each
-//! epoch:
+//! arrives through a handful of per-epoch hardware counters, collected in
+//! the paper during a short *profiling phase* (300 µs) at the start of each
+//! epoch; the simulator collects them over the whole previous epoch instead
+//! (DESIGN.md §2):
 //!
 //! * per core: `TPI` (busy time per instruction), `TIC` (instructions
 //!   executed), `TLM` (last-level cache misses), the average L2 time, the
@@ -17,10 +18,9 @@
 //! profiling frequency and the maximum frequency to obtain `z̄_i`.
 
 use crate::units::{Hz, Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 /// One epoch of counters for a single core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreSample {
     /// Frequency the core ran at during the profiling phase.
     pub freq: Hz,
@@ -37,11 +37,6 @@ pub struct CoreSample {
 }
 
 impl CoreSample {
-    /// Average L2/shared-cache time per access, `c_i`. The paper models this
-    /// as frequency-independent; it is reported by the cache subsystem.
-    /// Stored separately so `CoreSample` literals stay counter-like.
-    pub const DEFAULT_CACHE_CYCLES: u32 = 30;
-
     /// Eq. 9: minimum think time `z̄_i` extrapolated to `f_max`.
     ///
     /// `TPI·TIC/TLM` is the average busy time between two memory accesses at
@@ -64,7 +59,7 @@ impl CoreSample {
 
 /// One epoch of counters for one memory controller (or the aggregate when a
 /// single controller is modelled).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySample {
     /// Bus frequency during the epoch.
     pub bus_freq: Hz,
@@ -81,7 +76,7 @@ pub struct MemorySample {
 }
 
 /// Everything the controller sees at the end of a profiling phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochObservation {
     /// Per-core samples (length `N`).
     pub cores: Vec<CoreSample>,
@@ -108,15 +103,6 @@ impl EpochObservation {
             access_weights: Vec::new(),
             total_power,
         }
-    }
-
-    /// Per-core average L2 cache time `c_i`: derived from the default L2
-    /// latency at the (frequency-independent) cache clock. Platforms with a
-    /// measured per-access L2 time configure it via
-    /// `FastCapConfigBuilder::cache_time` instead; this default matches
-    /// Table II (30 cycles at 4 GHz).
-    pub fn default_cache_time() -> Secs {
-        Secs(CoreSample::DEFAULT_CACHE_CYCLES as f64 / 4.0e9)
     }
 }
 
@@ -192,10 +178,5 @@ mod tests {
         assert!(obs.controllers.is_empty());
         assert!(obs.access_weights.is_empty());
         assert_eq!(obs.total_power, Watts(50.0));
-    }
-
-    #[test]
-    fn default_cache_time_is_30_cycles_at_4ghz() {
-        assert!((EpochObservation::default_cache_time().nanos() - 7.5).abs() < 1e-9);
     }
 }

@@ -9,10 +9,9 @@
 //! over the degradations.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Summary of normalized performance degradation across applications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairnessReport {
     /// Mean normalized performance (e.g. CPI ratio vs. baseline; `>= 1`
     /// means slower than uncapped).

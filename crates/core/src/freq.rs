@@ -12,13 +12,12 @@
 
 use crate::error::{Error, Result};
 use crate::units::Hz;
-use serde::{Deserialize, Serialize};
 
 /// An ordered, discrete set of DVFS frequencies.
 ///
 /// Levels are stored ascending; the last level is the maximum frequency used
 /// to normalize scaling factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreqLadder {
     levels: Vec<Hz>,
 }
@@ -180,7 +179,7 @@ impl FreqLadder {
 /// Linear voltage/frequency curve: `V(f) = v_min + (v_max - v_min) ·
 /// (f - f_min) / (f_max - f_min)`, matching the paper's measured i7
 /// behaviour (0.65 V at 2.2 GHz up to 1.2 V at 4.0 GHz).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageCurve {
     f_min: Hz,
     f_max: Hz,

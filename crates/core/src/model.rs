@@ -11,10 +11,9 @@ use crate::error::{Error, Result};
 use crate::power::PowerLaw;
 use crate::queueing::{MultiControllerModel, ResponseTimeModel};
 use crate::units::{Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Optimization inputs for one core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
     /// `z̄_i`: minimum average think time, achieved at the maximum core
     /// frequency. Determining the core frequency is equivalent to
@@ -57,7 +56,7 @@ impl CoreModel {
 }
 
 /// How the memory response time is computed for each core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponseModel {
     /// One shared memory controller: every core sees the same `R(s_b)`.
     Single(ResponseTimeModel),
@@ -78,7 +77,7 @@ impl ResponseModel {
 }
 
 /// Optimization inputs for the memory subsystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModel {
     /// `s̄_b`: minimum bus transfer time, at the maximum memory frequency.
     /// Determining the memory frequency is equivalent to determining
@@ -112,7 +111,7 @@ impl MemoryModel {
 }
 
 /// The complete optimization problem instance for one epoch (Sec. III-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapModel {
     /// Per-core inputs (`N` entries).
     pub cores: Vec<CoreModel>,

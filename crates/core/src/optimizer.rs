@@ -30,7 +30,6 @@
 use crate::error::{Error, Result};
 use crate::model::{CapModel, CoreModel};
 use crate::units::{Secs, Watts};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tolerance for the scalar bisection on `D` (relative).
@@ -68,7 +67,7 @@ pub fn injected_solver_iters() -> u64 {
 }
 
 /// Solution of the inner problem at a fixed bus transfer time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusPointSolution {
     /// Optimal degradation factor `D ∈ (0, 1]`: every application runs at
     /// `D` times its best achievable performance.
@@ -93,7 +92,7 @@ pub struct BusPointSolution {
 }
 
 /// Full solution of the FastCap optimization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Index into the candidate `s_b` array that was selected.
     pub bus_index: usize,

@@ -24,13 +24,12 @@
 
 use crate::error::{Error, Result};
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// A fitted frequency-to-power law `P_dyn(scale) = p_max · scale^alpha`.
 ///
 /// `scale` is the normalized frequency-scaling factor `f / f_max ∈ (0, 1]`
 /// (equivalently `z̄/z` for cores, `s̄_b/s_b` for memory).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLaw {
     /// Maximum frequency-dependent power, drawn at `scale = 1`.
     pub p_max: Watts,
@@ -88,7 +87,7 @@ impl PowerLaw {
 ///
 /// The paper observes `α ∈ [2, 3]` for cores and `β ≈ 1` for memory; we allow
 /// a generous margin so noisy observations do not produce absurd exponents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentBounds {
     /// Smallest admissible exponent.
     pub lo: f64,
@@ -109,7 +108,7 @@ impl ExponentBounds {
 
 /// One power observation: dynamic power measured while running at a given
 /// frequency scaling factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Normalized frequency `f/f_max ∈ (0, 1]` during the observation.
     pub scale: f64,
@@ -129,7 +128,7 @@ pub struct PowerSample {
 /// *at the frequency being observed every epoch* — a persistent bias no
 /// amount of fresh data at one scale can fix, because the stale points
 /// never get replaced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModelFitter {
     /// Most recent sample per distinct scale, newest last.
     samples: Vec<PowerSample>,

@@ -33,10 +33,9 @@
 
 use crate::error::{Error, Result};
 use crate::units::Secs;
-use serde::{Deserialize, Serialize};
 
 /// Counter-based response-time model for one memory controller (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseTimeModel {
     /// Expected queue length seen at a bank on arrival, including the
     /// arriving request (`Q ≥ 1` whenever the memory is in use).
@@ -94,7 +93,7 @@ impl ResponseTimeModel {
 /// Each controller `j` has its own counters; core `i` experiences the
 /// weighted response time `R_i(s_b) = Σ_j w_ij · R_j(s_b)` where `w_ij` is
 /// the probability that core `i`'s accesses are routed to controller `j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiControllerModel {
     controllers: Vec<ResponseTimeModel>,
     /// `weights[i][j]`: probability core `i` accesses controller `j`.
@@ -146,12 +145,6 @@ impl MultiControllerModel {
         let k = controllers.len();
         let row = vec![1.0 / k as f64; k];
         Self::new(controllers, vec![row; n_cores])
-    }
-
-    /// Number of controllers.
-    #[inline]
-    pub fn controller_count(&self) -> usize {
-        self.controllers.len()
     }
 
     /// Number of cores the weight matrix covers (one row per core).

@@ -43,7 +43,6 @@ use fastcap_core::units::Watts;
 use fastcap_scenario::oracle::{check_tree_allocs, TreeAlloc, TREE_CONSERVATION_EPS};
 use fastcap_scenario::{rack_name, FleetAction, FleetScenario, ROOT_NODE};
 use fastcap_trace::{TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Floor on any online leaf's budget share, as a fraction of its peak:
@@ -70,9 +69,8 @@ pub enum Node {
 }
 
 /// Static description of one budget-tree node, generic over the leaf
-/// payload (the workspace uses [`LeafSpec`]; tests exercise others — the
-/// generic is round-tripped through the serde shim's generic derive).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// payload (the workspace uses [`LeafSpec`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeSpec<L> {
     /// Unique node name (e.g. `dc`, `rack3`, `srv3_7`).
     pub name: String,
@@ -124,7 +122,7 @@ impl<L> TreeSpec<L> {
 
 /// The workspace's leaf payload: which workload/platform/policy one
 /// server runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafSpec {
     /// Workload mix name (resolved by `fastcap_workloads::mixes`).
     pub mix: String,
@@ -439,12 +437,6 @@ impl<M: ServerModel> Fleet<M> {
         self.budget_fraction
     }
 
-    /// Node name of leaf `i` (DFS preorder).
-    #[must_use]
-    pub fn leaf_name(&self, i: usize) -> &str {
-        &self.nodes[self.leaves[i].node].name
-    }
-
     /// The model behind leaf `i`.
     #[must_use]
     pub fn leaf_model(&self, i: usize) -> &M {
@@ -478,17 +470,6 @@ impl<M: ServerModel> Fleet<M> {
             c.add(&l.model.cost());
         }
         c
-    }
-
-    /// Names of the interior (rack-level) nodes, in arena order — the
-    /// rack set fleet scenarios are linted against.
-    #[must_use]
-    pub fn rack_names(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == Node::Rack)
-            .map(|n| n.name.clone())
-            .collect()
     }
 
     /// Structural role of the named node, if it exists.
@@ -821,14 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_validates_shape_and_round_trips_through_generic_serde() {
+    fn spec_validates_shape() {
         let spec = canonical_tree(2, 2, |r, s| {
             leaf_spec(if (r + s) % 2 == 0 { "MIX1" } else { "MEM2" })
         });
         assert_eq!(spec.n_leaves(), 4);
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: TreeSpec<LeafSpec> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
 
         // Malformed trees fail compilation with a named culprit.
         let scn = FleetScenario::empty();

@@ -43,11 +43,6 @@ impl<B: EpochBackend> ClosedLoop<B> {
         &self.backend
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Deterministic operation counts of the whole loop: the backend's
     /// simulation work merged with the policy's decision-path work.
     pub fn cost(&self) -> fastcap_core::cost::CostCounter {

@@ -21,9 +21,11 @@ fn quick_cfg() -> SimConfig {
         .with_meter_noise(0.0)
 }
 
-/// Serialized bytes of a run (CSV-grade equality: the JSON rendering).
+/// A run's exact rendering: `Debug` prints every `f64` round-trip exact
+/// and tells `-0.0` from `0.0`, where `PartialEq` would call them equal
+/// (and NaN unequal to itself).
 fn bytes(r: &fastcap_sim::RunResult) -> String {
-    serde_json::to_string(r).unwrap()
+    format!("{r:?}")
 }
 
 fn scenario_run(

@@ -4,8 +4,9 @@
 //! (10 levels, 2.2–4.0 GHz, 0.65–1.2 V linear), memory-bus DVFS (200–800 MHz
 //! in 66 MHz steps), cache latencies, DDR3 timing and currents (see
 //! [`crate::dram`]), channel counts per core count (4 channels for 4/16/32
-//! cores, 8 for 64), the 5 ms epoch with a 300 µs profiling phase, and the
-//! fixed 10 W "other components" power.
+//! cores, 8 for 64), the 5 ms epoch, and the fixed 10 W "other components"
+//! power. Counters and power cover the whole previous epoch: the paper's
+//! 300 µs profiling phase is not modeled (a deviation, DESIGN.md §2).
 //!
 //! ## Calibration
 //!
@@ -28,12 +29,11 @@ use fastcap_core::error::{Error, Result};
 use fastcap_core::freq::{FreqLadder, VoltageCurve};
 use fastcap_core::power::PowerLaw;
 use fastcap_core::units::{Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::dram::DramConfig;
 
 /// Core execution mode (Sec. IV-B studies both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreMode {
     /// Single-issue in-order pipeline: every last-level miss blocks.
     InOrder,
@@ -45,7 +45,7 @@ pub enum CoreMode {
 
 /// How memory accesses spread across controllers (multi-controller mode,
 /// Sec. IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Interleaving {
     /// Uniform distribution over controllers.
     Uniform,
@@ -73,7 +73,7 @@ impl Interleaving {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of cores `N`.
     pub n_cores: usize,
@@ -100,8 +100,6 @@ pub struct SimConfig {
     /// Epoch length (wall-clock semantics; the simulated slice is
     /// `epoch_length / time_dilation`).
     pub epoch_length: Secs,
-    /// Profiling-phase length at the start of each epoch.
-    pub profiling_length: Secs,
     /// Time dilation factor (≥ 1).
     pub time_dilation: f64,
     /// Maximum per-core dynamic power at full frequency and activity
@@ -186,7 +184,6 @@ impl SimConfig {
             dram: DramConfig::ddr3_table_ii(dimms),
             l2_time: Secs::from_nanos(7.5),
             epoch_length: Secs::from_millis(5.0),
-            profiling_length: Secs::from_micros(300.0),
             time_dilation: 20.0,
             core_dyn_max,
             core_static: Watts(0.5),
@@ -246,11 +243,6 @@ impl SimConfig {
     /// The simulated slice of one epoch, after dilation.
     pub fn sim_epoch_length(&self) -> Secs {
         Secs(self.epoch_length.get() / self.time_dilation)
-    }
-
-    /// The simulated slice of the profiling phase, after dilation.
-    pub fn sim_profiling_length(&self) -> Secs {
-        Secs(self.profiling_length.get() / self.time_dilation)
     }
 
     /// Total memory static power (DRAM background + refresh at idle),
@@ -358,12 +350,6 @@ impl SimConfig {
                 why: "must be >= 1".into(),
             });
         }
-        if self.profiling_length.get() >= self.epoch_length.get() {
-            return Err(Error::InvalidConfig {
-                what: "profiling_length",
-                why: "must be shorter than the epoch".into(),
-            });
-        }
         if !(0.0..=1.0).contains(&self.idle_activity) {
             return Err(Error::InvalidConfig {
                 what: "idle_activity",
@@ -401,7 +387,6 @@ mod tests {
         assert!((c.bus_transfer_time(0).nanos() - 20.0).abs() < 1e-9);
         assert!((c.l2_time.nanos() - 7.5).abs() < 1e-12);
         assert!((c.epoch_length.millis() - 5.0).abs() < 1e-12);
-        assert!((c.profiling_length.micros() - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -425,7 +410,6 @@ mod tests {
     fn dilation_shrinks_simulated_slice() {
         let c = SimConfig::ispass(16).unwrap().with_time_dilation(50.0);
         assert!((c.sim_epoch_length().micros() - 100.0).abs() < 1e-9);
-        assert!((c.sim_profiling_length().micros() - 6.0).abs() < 1e-9);
         // Dilation below 1 clamps to 1.
         let c1 = SimConfig::ispass(16).unwrap().with_time_dilation(0.1);
         assert_eq!(c1.time_dilation, 1.0);
@@ -477,9 +461,6 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut c = SimConfig::ispass(16).unwrap();
-        c.profiling_length = c.epoch_length;
-        assert!(c.validate().is_err());
         let mut c = SimConfig::ispass(16).unwrap();
         c.bus_burst_cycles = 0;
         assert!(c.validate().is_err());

@@ -22,10 +22,9 @@
 //! time `s_b`.
 
 use fastcap_core::units::{Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 /// DDR3 configuration straight out of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of DIMMs (8 × 2 GB for 4 channels; 16 for 8 channels).
     pub dimms: usize,
@@ -148,12 +147,6 @@ impl DramConfig {
         let incr = (i_rw - self.i_act_standby).max(0.0) * self.activity_scale;
         Watts(self.vdd * incr * self.devices() * u)
     }
-
-    /// Maximum activity power (all banks serving reads continuously) —
-    /// used to seed the controller's initial memory power law.
-    pub fn activity_power_max(&self) -> Watts {
-        self.activity_power(1.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +208,7 @@ mod tests {
         // saturation) land the DRAM activity share near the paper's ~30%
         // memory split.
         let d = cfg();
-        let p = d.activity_power_max();
+        let p = d.activity_power(1.0, 1.0);
         assert!(p.get() > 50.0 && p.get() < 100.0, "max activity = {p}");
         assert_eq!(d.activity_power(0.0, 1.0), Watts(0.0));
         // At a bus-saturated utilization the share is plausible.

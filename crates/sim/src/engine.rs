@@ -36,12 +36,6 @@ pub fn to_ps(s: Secs) -> Ps {
     (s.get() * PS_PER_SEC).max(0.0).round() as Ps
 }
 
-/// Converts picoseconds back to seconds.
-#[inline]
-pub fn to_secs(ps: Ps) -> Secs {
-    Secs(ps as f64 / PS_PER_SEC)
-}
-
 /// Simulator events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
@@ -539,7 +533,6 @@ mod tests {
         let s = Secs::from_nanos(123.456);
         let ps = to_ps(s);
         assert_eq!(ps, 123_456);
-        assert!((to_secs(ps).nanos() - 123.456).abs() < 1e-9);
         assert_eq!(to_ps(Secs(-1.0)), 0);
     }
 

@@ -6,10 +6,10 @@
 //! request — the *transfer-blocking* property that makes the closed network
 //! analytically intractable and motivates the counter-based approximation
 //! (Eq. 1). The MemScale-style occupancy counters (`Q`, `U`, mean `s_m`) are
-//! sampled here during the profiling window.
+//! sampled here on every arrival and departure of the epoch: the paper's
+//! 300 µs profiling phase is not modeled (DESIGN.md §2).
 
 use crate::engine::{Event, EventQueue, Ps};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One in-flight memory request.
@@ -23,7 +23,7 @@ pub struct Request {
 }
 
 /// Bank service state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// No request in service.
     Idle,
@@ -106,7 +106,7 @@ impl MemCounters {
         }
     }
 
-    /// Clears all accumulators (start of a profiling window).
+    /// Clears all accumulators (start of an epoch).
     pub fn reset(&mut self) {
         *self = Self::default();
     }
@@ -181,24 +181,15 @@ impl MemController {
         self.transferring.is_some()
     }
 
-    /// Enqueues `req` at `bank`, sampling the `Q` counter if `profiling`,
-    /// and starts service if the bank is idle.
-    pub fn enqueue(
-        &mut self,
-        bank: usize,
-        req: Request,
-        now: Ps,
-        profiling: bool,
-        queue: &mut EventQueue,
-    ) {
+    /// Enqueues `req` at `bank`, sampling the `Q` counter, and starts
+    /// service if the bank is idle.
+    pub fn enqueue(&mut self, bank: usize, req: Request, now: Ps, queue: &mut EventQueue) {
         let b = &mut self.banks[bank];
-        if profiling {
-            // Q: requests found at the bank on arrival, including this one.
-            self.counters.q_sum += (b.occupancy() + 1) as f64;
-            self.counters.q_n += 1;
-            self.counters.service_sum += req.service as f64;
-            self.counters.service_n += 1;
-        }
+        // Q: requests found at the bank on arrival, including this one.
+        self.counters.q_sum += (b.occupancy() + 1) as f64;
+        self.counters.q_n += 1;
+        self.counters.service_sum += req.service as f64;
+        self.counters.service_n += 1;
         if b.state == BankState::Idle {
             b.current = Some(req);
             b.state = BankState::Serving;
@@ -216,29 +207,20 @@ impl MemController {
     }
 
     /// Handles service completion at `bank`: the bank now *blocks* on the
-    /// bus (transfer blocking). Samples the `U` counter if `profiling`.
-    pub fn on_bank_done(
-        &mut self,
-        bank: usize,
-        now: Ps,
-        bus_transfer: Ps,
-        profiling: bool,
-        queue: &mut EventQueue,
-    ) {
+    /// bus (transfer blocking). Samples the `U` counter.
+    pub fn on_bank_done(&mut self, bank: usize, now: Ps, bus_transfer: Ps, queue: &mut EventQueue) {
         let service = self.banks[bank]
             .current
             .expect("BankDone for a bank with no occupant")
             .service;
         self.activity.bank_busy += service as f64;
         self.banks[bank].state = BankState::WaitingBus;
-        if profiling {
-            // U: waiters for the bus at departure, including this request
-            // and the one currently transferring (its residual occupies the
-            // departing request just the same).
-            let waiting = self.bus_queue.len() + usize::from(self.bus_busy()) + 1;
-            self.counters.u_sum += waiting as f64;
-            self.counters.u_n += 1;
-        }
+        // U: waiters for the bus at departure, including this request and
+        // the one currently transferring (its residual occupies the
+        // departing request just the same).
+        let waiting = self.bus_queue.len() + usize::from(self.bus_busy()) + 1;
+        self.counters.u_sum += waiting as f64;
+        self.counters.u_n += 1;
         if self.bus_busy() {
             self.bus_queue.push_back(bank);
         } else {
@@ -308,7 +290,7 @@ mod tests {
         let mut done = Vec::new();
         while let Some((t, ev)) = queue.pop() {
             match ev {
-                Event::BankDone { bank, .. } => ctl.on_bank_done(bank, t, sb, true, queue),
+                Event::BankDone { bank, .. } => ctl.on_bank_done(bank, t, sb, queue),
                 Event::BusDone { .. } => {
                     let r = ctl.on_bus_done(t, sb, queue);
                     done.push((t, r));
@@ -330,7 +312,7 @@ mod tests {
     fn single_request_timing() {
         let mut ctl = MemController::new(0, 4);
         let mut q = EventQueue::new();
-        ctl.enqueue(0, req(0, 30), 0, true, &mut q);
+        ctl.enqueue(0, req(0, 30), 0, &mut q);
         let done = drain(&mut ctl, &mut q, 5);
         assert_eq!(done.len(), 1);
         // 30 ps service + 5 ps transfer.
@@ -347,8 +329,8 @@ mod tests {
         let mut ctl = MemController::new(0, 1);
         let mut q = EventQueue::new();
         let sb = 100;
-        ctl.enqueue(0, req(0, 10), 0, true, &mut q);
-        ctl.enqueue(0, req(1, 10), 0, true, &mut q);
+        ctl.enqueue(0, req(0, 10), 0, &mut q);
+        ctl.enqueue(0, req(1, 10), 0, &mut q);
         let done = drain(&mut ctl, &mut q, sb);
         // First: service 0-10, transfer 10-110. Second service can only
         // start at 110 (transfer blocking!), done 120, transfer 120-220.
@@ -361,8 +343,8 @@ mod tests {
         let mut ctl = MemController::new(0, 2);
         let mut q = EventQueue::new();
         let sb = 50;
-        ctl.enqueue(0, req(0, 10), 0, true, &mut q);
-        ctl.enqueue(1, req(1, 20), 0, true, &mut q);
+        ctl.enqueue(0, req(0, 10), 0, &mut q);
+        ctl.enqueue(1, req(1, 20), 0, &mut q);
         let done = drain(&mut ctl, &mut q, sb);
         // Bank 0 done at 10, grabs bus 10-60. Bank 1 done at 20, waits,
         // transfers 60-110.
@@ -377,8 +359,8 @@ mod tests {
         let mut ctl = MemController::new(0, 2);
         let mut q = EventQueue::new();
         let sb = 1;
-        ctl.enqueue(0, req(0, 100), 0, false, &mut q);
-        ctl.enqueue(1, req(1, 100), 0, false, &mut q);
+        ctl.enqueue(0, req(0, 100), 0, &mut q);
+        ctl.enqueue(1, req(1, 100), 0, &mut q);
         let done = drain(&mut ctl, &mut q, sb);
         // Both services overlap; completions at 101 and 102 (bus serializes
         // only the 1 ps transfers).
@@ -390,9 +372,9 @@ mod tests {
     fn counters_measure_queueing() {
         let mut ctl = MemController::new(0, 1);
         let mut q = EventQueue::new();
-        ctl.enqueue(0, req(0, 10), 0, true, &mut q);
-        ctl.enqueue(0, req(1, 10), 0, true, &mut q);
-        ctl.enqueue(0, req(2, 10), 0, true, &mut q);
+        ctl.enqueue(0, req(0, 10), 0, &mut q);
+        ctl.enqueue(0, req(1, 10), 0, &mut q);
+        ctl.enqueue(0, req(2, 10), 0, &mut q);
         // Q samples: 1, 2, 3 -> mean 2.
         assert!((ctl.counters.mean_q() - 2.0).abs() < 1e-12);
         drain(&mut ctl, &mut q, 5);
@@ -416,7 +398,7 @@ mod tests {
         let mut ctl = MemController::new(0, 1);
         let mut q = EventQueue::new();
         ctl.frozen_until = 1000;
-        ctl.enqueue(0, req(0, 10), 0, false, &mut q);
+        ctl.enqueue(0, req(0, 10), 0, &mut q);
         let done = drain(&mut ctl, &mut q, 5);
         // Service starts at 1000, done 1010, transfer starts ≥ 1010.
         assert_eq!(done[0].0, 1015);
@@ -433,7 +415,6 @@ mod tests {
                 service: 10,
             },
             0,
-            false,
             &mut q,
         );
         drain(&mut ctl, &mut q, 5);
@@ -448,8 +429,8 @@ mod tests {
     fn busy_time_accumulates() {
         let mut ctl = MemController::new(0, 2);
         let mut q = EventQueue::new();
-        ctl.enqueue(0, req(0, 30), 0, false, &mut q);
-        ctl.enqueue(1, req(1, 40), 0, false, &mut q);
+        ctl.enqueue(0, req(0, 30), 0, &mut q);
+        ctl.enqueue(1, req(1, 40), 0, &mut q);
         drain(&mut ctl, &mut q, 5);
         assert!((ctl.activity.bank_busy - 70.0).abs() < 1e-12);
         assert!((ctl.activity.bus_busy - 10.0).abs() < 1e-12);

@@ -4,10 +4,9 @@
 use fastcap_core::error::{Error, Result};
 use fastcap_core::fairness::{self, FairnessReport};
 use fastcap_core::units::{Secs, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Everything measured over one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Epoch index.
     pub epoch: u64,
@@ -28,7 +27,7 @@ pub struct EpochReport {
 }
 
 /// A complete simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Number of cores.
     pub n_cores: usize,

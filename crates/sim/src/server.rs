@@ -5,8 +5,8 @@
 //! advances it epoch by epoch. Every epoch it:
 //!
 //! 1. hands the *previous* epoch's counters and measured powers to the
-//!    capping policy (the paper's profiling phase, with the same one-epoch
-//!    staleness its power samples have — see DESIGN.md §2),
+//!    capping policy (they cover that whole epoch: the paper's profiling
+//!    phase is not modeled — see DESIGN.md §2),
 //! 2. applies the returned [`DvfsDecision`] (cores stall ~10 µs on a
 //!    frequency change; the whole memory subsystem freezes ~20 µs for
 //!    PLL/DLL resync — Sec. III-C),
@@ -283,11 +283,6 @@ impl Server {
         &self.cfg
     }
 
-    /// Epochs simulated so far.
-    pub fn epochs_run(&self) -> u64 {
-        self.epoch_index
-    }
-
     /// Total events scheduled since construction — the backend's work
     /// unit (`EpochBackend::ops`) and the `event_push` term of
     /// [`Self::cost`].
@@ -501,7 +496,7 @@ impl Server {
                 Event::CoreReady { core } => self.on_core_ready(core),
                 Event::BankDone { ctrl, bank } => {
                     let sb = self.bus_transfer;
-                    self.ctrls[ctrl].on_bank_done(bank, t, sb, true, &mut self.queue);
+                    self.ctrls[ctrl].on_bank_done(bank, t, sb, &mut self.queue);
                 }
                 Event::BusDone { ctrl } => {
                     let sb = self.bus_transfer;
@@ -610,7 +605,6 @@ impl Server {
                     service,
                 },
                 now,
-                true,
                 &mut self.queue,
             );
             // Background writeback, off the critical path.
@@ -627,7 +621,6 @@ impl Server {
                         service: wb_service,
                     },
                     now,
-                    true,
                     &mut self.queue,
                 );
             }

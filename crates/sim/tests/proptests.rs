@@ -16,7 +16,7 @@ fn drain(ctl: &mut MemController, queue: &mut EventQueue, sb: Ps) -> Vec<(Ps, Re
     let mut done = Vec::new();
     while let Some((t, ev)) = queue.pop() {
         match ev {
-            Event::BankDone { bank, .. } => ctl.on_bank_done(bank, t, sb, true, queue),
+            Event::BankDone { bank, .. } => ctl.on_bank_done(bank, t, sb, queue),
             Event::BusDone { .. } => {
                 let r = ctl.on_bus_done(t, sb, queue);
                 done.push((t, r));
@@ -46,7 +46,6 @@ proptest! {
                 bank,
                 Request { owner: if wb { None } else { Some(i) }, service },
                 0,
-                true,
                 &mut queue,
             );
         }
@@ -78,7 +77,7 @@ proptest! {
         let mut ctl = MemController::new(0, 4);
         let mut queue = EventQueue::new();
         for (i, &(bank, service)) in reqs.iter().enumerate() {
-            ctl.enqueue(bank, Request { owner: Some(i), service }, 0, false, &mut queue);
+            ctl.enqueue(bank, Request { owner: Some(i), service }, 0, &mut queue);
         }
         let done = drain(&mut ctl, &mut queue, sb);
         for w in done.windows(2) {
@@ -102,7 +101,7 @@ proptest! {
         let mut ctl = MemController::new(0, 1);
         let mut queue = EventQueue::new();
         for (i, &service) in services.iter().enumerate() {
-            ctl.enqueue(0, Request { owner: Some(i), service }, 0, false, &mut queue);
+            ctl.enqueue(0, Request { owner: Some(i), service }, 0, &mut queue);
         }
         let done = drain(&mut ctl, &mut queue, sb);
         prop_assert_eq!(done.len(), services.len());
@@ -126,7 +125,7 @@ proptest! {
         let mut ctl = MemController::new(0, 6);
         let mut queue = EventQueue::new();
         for (i, &(bank, service)) in reqs.iter().enumerate() {
-            ctl.enqueue(bank, Request { owner: Some(i), service }, 0, true, &mut queue);
+            ctl.enqueue(bank, Request { owner: Some(i), service }, 0, &mut queue);
         }
         drain(&mut ctl, &mut queue, sb);
         let q = ctl.counters.mean_q();

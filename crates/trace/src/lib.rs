@@ -34,4 +34,4 @@ pub use event::{DecisionRecord, LaneRecord, Stamped, TraceEvent};
 pub use export::{chrome_trace_json, metrics_csv, terminal_summary};
 pub use hub::{hub, install, TraceConfig, TraceHub};
 pub use metrics::{Metric, MetricsRegistry};
-pub use sink::{RingBuffer, TraceSink, Tracer};
+pub use sink::{RingBuffer, Tracer};

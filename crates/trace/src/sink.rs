@@ -7,12 +7,6 @@ use fastcap_core::cost::{CostCounter, OPS};
 use crate::event::{Stamped, TraceEvent};
 use crate::metrics::MetricsRegistry;
 
-/// Anything that can accept a stamped trace event.
-pub trait TraceSink {
-    /// Records one event at modeled time `t_ns`.
-    fn record(&mut self, t_ns: u64, event: TraceEvent);
-}
-
 /// A bounded FIFO event buffer: at capacity, the **oldest** event is
 /// dropped (and counted), so a long run keeps its most recent history —
 /// which is what a post-mortem wants.
@@ -71,10 +65,9 @@ impl RingBuffer {
     pub fn into_vec(self) -> Vec<Stamped> {
         self.events.into()
     }
-}
 
-impl TraceSink for RingBuffer {
-    fn record(&mut self, t_ns: u64, event: TraceEvent) {
+    /// Records one event at modeled time `t_ns`.
+    pub fn record(&mut self, t_ns: u64, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;

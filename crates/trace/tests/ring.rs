@@ -2,7 +2,7 @@
 //! while under its configured capacity, and at capacity it drops exactly
 //! the oldest ones, keeping the newest `capacity` in order.
 
-use fastcap_trace::{RingBuffer, TraceEvent, TraceSink};
+use fastcap_trace::{RingBuffer, TraceEvent};
 use proptest::prelude::*;
 
 fn push_n(ring: &mut RingBuffer, n: u64) {

@@ -7,11 +7,10 @@
 //! idealized out-of-order mode of Sec. IV-B), and its phase behaviour.
 
 use crate::phases::PhaseSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four workload classes of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Compute-intensive (`ILP*`).
     Ilp,
@@ -46,7 +45,7 @@ impl fmt::Display for WorkloadClass {
 }
 
 /// A synthetic stand-in for one SPEC application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// SPEC benchmark name (e.g. `"swim"`).
     pub name: String,
@@ -125,7 +124,7 @@ impl AppProfile {
 
 /// One application pinned to one core: a profile plus its copy index (used
 /// to de-phase the `N/4` copies of Table III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppInstance {
     /// The (possibly context-adjusted) profile.
     pub profile: AppProfile,

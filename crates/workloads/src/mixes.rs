@@ -8,7 +8,6 @@
 
 use crate::app::{AppInstance, AppProfile, WorkloadClass};
 use crate::spec;
-use serde::{Deserialize, Serialize};
 
 /// `(app, mpki, wpki)` for the four members of each mix, plus the Table III
 /// aggregate `(mpki, wpki)` the mix must average to.
@@ -219,7 +218,7 @@ const MIXES: &[MixDef] = &[
 ];
 
 /// A fully resolved workload: four context-adjusted application profiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Mix name (e.g. `"MEM1"`).
     pub name: String,

@@ -8,10 +8,8 @@
 //! of the epoch index — so every simulation is reproducible and two copies
 //! of the same application can be de-phased via their `offset`.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic phase model for one application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpec {
     /// Period of the slow envelope, in epochs.
     pub period_epochs: f64,

@@ -2,16 +2,17 @@
 //!
 //! The build environment for this repository has no access to crates.io, so
 //! this shim provides the small slice of serde's API the workspace actually
-//! uses: the `Serialize` / `Deserialize` traits (including derive macros) on
-//! top of a simple JSON-like [`Value`] tree. `serde_json` (also shimmed)
-//! renders that tree as real JSON.
+//! uses: the `Serialize` / `Deserialize` traits (with derive macros) on top
+//! of a simple JSON-like [`Value`] tree. `serde_json` (also shimmed) renders
+//! that tree as real JSON.
 //!
-//! Semantics intentionally mirror serde's defaults for the shapes used here:
-//! structs serialize as objects in field order, newtype structs as their
-//! inner value, unit enum variants as strings, and data-carrying variants as
-//! externally tagged single-key objects.
+//! The derive supports the two shapes the scenario and result-table file
+//! formats use, with serde's own layout: a struct with named fields is an
+//! object in field order, and an enum under `#[serde(tag = "...",
+//! rename_all = "snake_case")]` whose variants all have named fields is one
+//! flat object, tag first. Leaf impls cover `u64`, `usize`, `f64`,
+//! `String`, `Vec<T>` and `Value`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -66,15 +67,6 @@ impl Value {
         match *self {
             Value::Int(i) if i >= 0 => Some(i as u64),
             Value::UInt(u) => Some(u),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::Int(i) => Some(i),
-            Value::UInt(u) if u <= i64::MAX as u64 => Some(u as i64),
             _ => None,
         }
     }
@@ -143,25 +135,8 @@ pub fn __type_error<T>(expected: &str, got: &Value) -> Result<T, DeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive impls.
+// Leaf impls.
 // ---------------------------------------------------------------------------
-
-macro_rules! ser_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                v.as_i64()
-                    .and_then(|i| <$t>::try_from(i).ok())
-                    .ok_or_else(|| DeError::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"), v)))
-            }
-        }
-    )*};
-}
-ser_int!(i8, i16, i32, i64, isize);
 
 macro_rules! ser_uint {
     ($($t:ty),*) => {$(
@@ -178,37 +153,18 @@ macro_rules! ser_uint {
         }
     )*};
 }
-ser_uint!(u8, u16, u32, u64, usize);
+ser_uint!(u64, usize);
 
-macro_rules! ser_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Float(*self as f64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                v.as_f64()
-                    .map(|f| f as $t)
-                    .ok_or_else(|| DeError::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"), v)))
-            }
-        }
-    )*};
-}
-ser_float!(f32, f64);
-
-impl Serialize for bool {
+impl Serialize for f64 {
     fn to_value(&self) -> Value {
-        Value::Bool(*self)
+        Value::Float(*self)
     }
 }
 
-impl Deserialize for bool {
+impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => __type_error("bool", v),
-        }
+        v.as_f64()
+            .ok_or_else(|| DeError::msg(format!("expected f64, got {v:?}")))
     }
 }
 
@@ -227,63 +183,6 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => __type_error("single-char string", v),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -297,111 +196,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             _ => __type_error("array", v),
         }
     }
-}
-
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => __type_error("array", v),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort keys so output is deterministic, like a BTreeMap.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            _ => __type_error("object", v),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            _ => __type_error("object", v),
-        }
-    }
-}
-
-macro_rules! ser_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Array(items) => {
-                        let mut it = items.iter();
-                        Ok(($({
-                            let _ = $n; // positional marker
-                            $t::from_value(
-                                it.next().ok_or_else(|| DeError::msg("tuple too short"))?,
-                            )?
-                        },)+))
-                    }
-                    _ => __type_error("array (tuple)", v),
-                }
-            }
-        }
-    )*};
-}
-ser_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
 }
 
 impl Serialize for Value {
@@ -423,15 +217,14 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
+        assert_eq!(usize::from_value(&7usize.to_value()).unwrap(), 7);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(
             String::from_value(&"hi".to_string().to_value()).unwrap(),
             "hi"
         );
-        let v: Vec<u32> = vec![1, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&v.to_value()).unwrap(), v);
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
+        let v: Vec<u64> = vec![1, 2, 3];
+        assert_eq!(Vec::<u64>::from_value(&v.to_value()).unwrap(), v);
     }
 
     #[test]
@@ -442,57 +235,10 @@ mod tests {
     }
 
     #[derive(Debug, PartialEq, serde_derive::Serialize, serde_derive::Deserialize)]
-    struct Labeled<T> {
-        label: String,
-        payload: T,
-    }
-
-    #[derive(Debug, PartialEq, serde_derive::Serialize, serde_derive::Deserialize)]
-    struct Pair<A, B: Clone> {
-        first: A,
-        second: B,
-        rest: Vec<A>,
-    }
-
-    #[test]
-    fn generic_struct_round_trips() {
-        // Single unbounded type parameter — the `Tree<M: ServerModel>`
-        // config shape the fleet layer needs.
-        let w = Labeled {
-            label: "rack0".to_string(),
-            payload: vec![1u32, 2, 3],
-        };
-        assert_eq!(Labeled::<Vec<u32>>::from_value(&w.to_value()).unwrap(), w);
-        // Nested generic payloads resolve through the blanket field path.
-        let nested = Labeled {
-            label: "dc".to_string(),
-            payload: Labeled {
-                label: "leaf".to_string(),
-                payload: 0.75f64,
-            },
-        };
-        assert_eq!(
-            Labeled::<Labeled<f64>>::from_value(&nested.to_value()).unwrap(),
-            nested
-        );
-        // Multiple parameters, declaration bounds skipped by the parser.
-        let p = Pair {
-            first: 7u64,
-            second: "x".to_string(),
-            rest: vec![8, 9],
-        };
-        assert_eq!(Pair::<u64, String>::from_value(&p.to_value()).unwrap(), p);
-        // Missing-field errors still name the container.
-        let bad = Value::Object(vec![("label".into(), Value::Str("a".into()))]);
-        assert!(Labeled::<u32>::from_value(&bad).is_err());
-    }
-
-    #[derive(Debug, PartialEq, serde_derive::Serialize, serde_derive::Deserialize)]
     #[serde(tag = "kind", rename_all = "snake_case")]
     enum TaggedAction {
         BudgetStep { fraction: f64 },
         CoresOffline { cores: Vec<usize> },
-        Noop,
     }
 
     #[test]
@@ -505,10 +251,6 @@ mod tests {
                 ("fraction".into(), Value::Float(0.5)),
             ])
         );
-        assert_eq!(
-            TaggedAction::Noop.to_value(),
-            Value::Object(vec![("kind".into(), Value::Str("noop".into()))])
-        );
     }
 
     #[test]
@@ -516,7 +258,6 @@ mod tests {
         for a in [
             TaggedAction::BudgetStep { fraction: 0.25 },
             TaggedAction::CoresOffline { cores: vec![0, 3] },
-            TaggedAction::Noop,
         ] {
             assert_eq!(TaggedAction::from_value(&a.to_value()).unwrap(), a);
         }
@@ -539,6 +280,6 @@ mod tests {
         let err = TaggedAction::from_value(&v).unwrap_err();
         assert!(err.0.contains("missing field `fraction`"), "{err}");
         // Not an object at all.
-        assert!(TaggedAction::from_value(&Value::Str("noop".into())).is_err());
+        assert!(TaggedAction::from_value(&Value::Str("budget_step".into())).is_err());
     }
 }

@@ -2,75 +2,38 @@
 //!
 //! Parses the derive input with `proc_macro` alone (no `syn`/`quote` — the
 //! build environment is offline) and emits impls of the shim's `Serialize` /
-//! `Deserialize` traits. Supported shapes are the ones this workspace uses:
-//! structs with named fields, tuple structs, unit structs, and enums with
-//! unit / tuple / struct variants. Generic containers are supported for
-//! plain type parameters (bounds on the declaration are accepted and
-//! skipped); every parameter is re-bound to the derived trait in the
-//! emitted impl, mirroring real serde's conservative default. Lifetime and
-//! const parameters, and `where` clauses, are not supported.
+//! `Deserialize` traits for the two shapes the workspace's file formats use:
 //!
-//! `#[serde(...)]` container attributes: `tag = "..."` (internally tagged
-//! enums, used by the scenario event format) and `rename_all =
-//! "snake_case"` (enum variant names) are honoured; everything else —
-//! including all field attributes — is accepted and ignored. The only
-//! ignored one appearing in-tree is `#[serde(transparent)]` on newtype
-//! structs, whose semantics (serialize as the inner value) are this shim's
-//! default for single-field tuple structs anyway, matching real serde.
+//! - a struct with named fields, written as an object whose keys are the
+//!   fields in declaration order;
+//! - an enum under `#[serde(tag = "...", rename_all = "snake_case")]` whose
+//!   variants all have named fields (the scenario event format), written as
+//!   one flat object: the tag key holding the snake_case variant name
+//!   first, then the variant's fields in declaration order.
+//!
+//! Any other shape — a tuple or unit struct, a generic type, an enum
+//! without both attributes, a unit or tuple variant — panics at compile
+//! time with the type's name. Field and variant attributes (doc comments)
+//! are skipped.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 use std::fmt::Write as _;
 
-/// Parsed `#[serde(...)]` container attributes.
-#[derive(Default)]
-struct ContainerAttrs {
-    /// `tag = "..."`: internally-tagged enum representation.
-    tag: Option<String>,
-    /// `rename_all = "snake_case"`: variant-name casing.
-    snake_case: bool,
-}
-
-/// One parsed enum variant.
-struct Variant {
-    name: String,
-    kind: VariantKind,
-}
-
-enum VariantKind {
-    Unit,
-    Tuple(usize),
-    Named(Vec<String>),
-}
-
 /// The parsed derive input.
 enum Shape {
-    NamedStruct {
-        name: String,
-        fields: Vec<String>,
-    },
-    TupleStruct {
-        name: String,
-        arity: usize,
-    },
-    UnitStruct {
-        name: String,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
+    /// A struct's named fields.
+    Struct(Vec<String>),
+    /// An internally tagged enum: the tag key, then each variant's name and
+    /// named fields.
+    Tagged {
+        tag: String,
+        variants: Vec<(String, Vec<String>)>,
     },
 }
 
-impl Shape {
-    fn name(&self) -> &str {
-        match self {
-            Shape::NamedStruct { name, .. }
-            | Shape::TupleStruct { name, .. }
-            | Shape::UnitStruct { name }
-            | Shape::Enum { name, .. } => name,
-        }
-    }
-}
+const SUPPORTED: &str = "the serde shim derives only structs with named fields and enums \
+     under #[serde(tag = \"...\", rename_all = \"snake_case\")] whose variants all have \
+     named fields";
 
 fn is_punct(t: Option<&TokenTree>, c: char) -> bool {
     matches!(t, Some(TokenTree::Punct(p)) if p.as_char() == c)
@@ -79,6 +42,13 @@ fn is_punct(t: Option<&TokenTree>, c: char) -> bool {
 fn ident_str(t: &TokenTree) -> Option<String> {
     match t {
         TokenTree::Ident(i) => Some(i.to_string()),
+        _ => None,
+    }
+}
+
+fn brace_group(t: Option<&TokenTree>) -> Option<&Group> {
+    match t {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Some(g),
         _ => None,
     }
 }
@@ -92,16 +62,29 @@ fn skip_attrs(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Advances past the container's outer attributes, extracting the
-/// `#[serde(...)]` options this shim honours (`tag`, `rename_all`).
-fn parse_container_attrs(toks: &[TokenTree], i: &mut usize) -> ContainerAttrs {
-    let mut out = ContainerAttrs::default();
+/// Advances past the container's outer attributes and returns the options
+/// of its `#[serde(...)]` attributes as `(key, "value")` pairs (`None` for
+/// an option not of that form).
+fn serde_options(toks: &[TokenTree], i: &mut usize) -> Vec<(String, Option<String>)> {
+    let mut out = Vec::new();
     while is_punct(toks.get(*i), '#') {
         if let Some(TokenTree::Group(g)) = toks.get(*i + 1) {
             let inner: Vec<TokenTree> = g.stream().into_iter().collect();
             if matches!(inner.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
                 if let Some(TokenTree::Group(args)) = inner.get(1) {
-                    collect_serde_options(args, &mut out);
+                    let args: Vec<TokenTree> = args.stream().into_iter().collect();
+                    for kv in args.split(|t| is_punct(Some(t), ',')) {
+                        let key = kv.first().map(ToString::to_string).unwrap_or_default();
+                        let value = match kv {
+                            [_, TokenTree::Punct(eq), TokenTree::Literal(lit)]
+                                if eq.as_char() == '=' =>
+                            {
+                                Some(lit.to_string().trim_matches('"').to_owned())
+                            }
+                            _ => None,
+                        };
+                        out.push((key, value));
+                    }
                 }
             }
         }
@@ -110,36 +93,7 @@ fn parse_container_attrs(toks: &[TokenTree], i: &mut usize) -> ContainerAttrs {
     out
 }
 
-/// Reads `key = "value"` pairs out of one `serde(...)` argument list.
-fn collect_serde_options(args: &Group, out: &mut ContainerAttrs) {
-    let toks: Vec<TokenTree> = args.stream().into_iter().collect();
-    let mut j = 0;
-    while j < toks.len() {
-        let key = ident_str(&toks[j]);
-        if key.is_some() && is_punct(toks.get(j + 1), '=') {
-            if let Some(TokenTree::Literal(lit)) = toks.get(j + 2) {
-                let value = lit.to_string().trim_matches('"').to_owned();
-                match key.as_deref() {
-                    Some("tag") => out.tag = Some(value),
-                    Some("rename_all") => {
-                        assert_eq!(
-                            value, "snake_case",
-                            "serde shim derive: only rename_all = \"snake_case\" is supported"
-                        );
-                        out.snake_case = true;
-                    }
-                    _ => {}
-                }
-                j += 3;
-                continue;
-            }
-        }
-        j += 1;
-    }
-}
-
-/// Converts a `CamelCase` variant name to `snake_case` (the only
-/// `rename_all` casing the shim supports).
+/// Converts a `CamelCase` variant name to `snake_case`.
 fn snake_case(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     for (k, c) in name.chars().enumerate() {
@@ -209,22 +163,8 @@ fn parse_named_fields(g: &Group) -> Vec<String> {
     out
 }
 
-/// Counts the fields of a tuple struct/variant from its paren group.
-fn count_tuple_fields(g: &Group) -> usize {
-    let toks: Vec<TokenTree> = g.stream().into_iter().collect();
-    if toks.is_empty() {
-        return 0;
-    }
-    let mut i = 0;
-    let mut n = 0;
-    while i < toks.len() {
-        skip_until_comma(&toks, &mut i);
-        n += 1;
-    }
-    n
-}
-
-fn parse_variants(g: &Group) -> Vec<Variant> {
+/// Parses the variants of a tagged enum: each must have named fields.
+fn parse_variants(g: &Group, ty: &str) -> Vec<(String, Vec<String>)> {
     let toks: Vec<TokenTree> = g.stream().into_iter().collect();
     let mut i = 0;
     let mut out = Vec::new();
@@ -233,385 +173,137 @@ fn parse_variants(g: &Group) -> Vec<Variant> {
         let Some(tok) = toks.get(i) else { break };
         let name = ident_str(tok)
             .unwrap_or_else(|| panic!("serde shim derive: expected variant name, found {tok}"));
-        i += 1;
-        let kind = match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                VariantKind::Tuple(count_tuple_fields(g))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                i += 1;
-                VariantKind::Named(parse_named_fields(g))
-            }
-            _ => VariantKind::Unit,
-        };
-        if is_punct(toks.get(i), '=') {
-            // Explicit discriminant: skip to the separating comma.
-            i += 1;
-            skip_until_comma(&toks, &mut i);
-        } else if is_punct(toks.get(i), ',') {
+        let fields = brace_group(toks.get(i + 1)).unwrap_or_else(|| {
+            panic!("serde shim derive: variant `{ty}::{name}` has no named fields; {SUPPORTED}")
+        });
+        out.push((name, parse_named_fields(fields)));
+        i += 2;
+        if is_punct(toks.get(i), ',') {
             i += 1;
         }
-        out.push(Variant { name, kind });
     }
     out
 }
 
-/// One parsed type parameter: its ident plus any declaration bounds
-/// (rendered back to source text, e.g. `Clone + Send`).
-struct TypeParam {
-    ident: String,
-    bounds: String,
-}
-
-/// Parses the `<...>` generic-parameter list after the type name, if any.
-/// Returns the type parameters in declaration order. Declaration bounds
-/// (`M: ServerModel + Clone`) are kept and re-emitted on the impl header —
-/// the type itself requires them — with the derived trait appended to each
-/// parameter, mirroring real serde's conservative default. Lifetimes and
-/// const parameters are rejected: the impl header this shim emits has no
-/// way to forward them.
-fn parse_generics(toks: &[TokenTree], i: &mut usize, name: &str) -> Vec<TypeParam> {
-    if !is_punct(toks.get(*i), '<') {
-        return Vec::new();
-    }
-    *i += 1;
-    let mut params = Vec::new();
-    while !is_punct(toks.get(*i), '>') {
-        let tok = toks
-            .get(*i)
-            .unwrap_or_else(|| panic!("serde shim derive: unterminated generics on `{name}`"));
-        let ident = ident_str(tok).unwrap_or_else(|| {
-            panic!(
-                "serde shim derive: `{name}` has generic parameter `{tok}`; \
-                 only plain type parameters are supported"
-            )
-        });
-        assert!(
-            ident != "const",
-            "serde shim derive: const generics on `{name}` are not supported"
-        );
-        *i += 1;
-        // Collect bounds (after a `:`, stopping at a top-level `=` default)
-        // up to the separating top-level `,` (consumed) or the closing `>`
-        // (left for the loop condition), tracking `<...>` nesting inside
-        // bound arguments.
-        let mut bounds = String::new();
-        let mut in_bounds = false;
-        let mut depth: i32 = 0;
-        loop {
-            match toks.get(*i) {
-                Some(TokenTree::Punct(p)) if p.as_char() == '<' => depth += 1,
-                Some(TokenTree::Punct(p)) if p.as_char() == '>' && depth > 0 => depth -= 1,
-                Some(TokenTree::Punct(p)) if p.as_char() == '>' => break,
-                Some(TokenTree::Punct(p)) if p.as_char() == ',' && depth == 0 => {
-                    *i += 1;
-                    break;
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ':' && depth == 0 && !in_bounds => {
-                    in_bounds = true;
-                    *i += 1;
-                    continue;
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == '=' && depth == 0 => in_bounds = false,
-                Some(_) => {}
-                None => panic!("serde shim derive: unterminated generics on `{name}`"),
-            }
-            if in_bounds {
-                let _ = write!(bounds, "{} ", toks[*i]);
-            }
-            *i += 1;
-        }
-        params.push(TypeParam { ident, bounds });
-    }
-    *i += 1; // closing `>`
-    params
-}
-
-/// `impl` header pieces for a possibly-generic container: the parameter
-/// list with every type parameter carrying its declaration bounds plus
-/// `trait_path`, and the bare argument list for the self type. Empty
-/// strings for non-generic types.
-fn generics_header(params: &[TypeParam], trait_path: &str) -> (String, String) {
-    if params.is_empty() {
-        return (String::new(), String::new());
-    }
-    let bounded: Vec<String> = params
-        .iter()
-        .map(|p| {
-            if p.bounds.is_empty() {
-                format!("{}: {trait_path}", p.ident)
-            } else {
-                format!("{}: {}+ {trait_path}", p.ident, p.bounds)
-            }
-        })
-        .collect();
-    let args: Vec<&str> = params.iter().map(|p| p.ident.as_str()).collect();
-    (
-        format!("<{}>", bounded.join(", ")),
-        format!("<{}>", args.join(", ")),
-    )
-}
-
-fn parse_shape(input: TokenStream) -> (Shape, ContainerAttrs, Vec<TypeParam>) {
+/// Parses the derive input into the type's name and [`Shape`], panicking
+/// (a compile error naming the type) on any shape the shim does not
+/// support.
+fn parse_shape(input: TokenStream) -> (String, Shape) {
     let toks: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    let attrs = parse_container_attrs(&toks, &mut i);
+    let options = serde_options(&toks, &mut i);
     skip_vis(&toks, &mut i);
     let kw = ident_str(&toks[i]).expect("serde shim derive: expected `struct` or `enum`");
-    i += 1;
-    let name = ident_str(&toks[i]).expect("serde shim derive: expected type name");
-    i += 1;
-    let generics = parse_generics(&toks, &mut i, &name);
-    assert!(
-        !matches!(toks.get(i), Some(TokenTree::Ident(id)) if id.to_string() == "where"),
-        "serde shim derive: `where` clause on `{name}` is not supported"
-    );
-    let shape = match kw.as_str() {
-        "struct" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Shape::NamedStruct {
-                name,
-                fields: parse_named_fields(g),
-            },
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::TupleStruct {
-                    name,
-                    arity: count_tuple_fields(g),
-                }
-            }
-            _ => Shape::UnitStruct { name },
-        },
-        "enum" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Shape::Enum {
-                name,
-                variants: parse_variants(g),
-            },
-            other => panic!("serde shim derive: malformed enum body: {other:?}"),
-        },
-        other => panic!("serde shim derive: unsupported item kind `{other}`"),
-    };
-    if attrs.tag.is_some() {
-        let Shape::Enum { name, variants } = &shape else {
-            panic!("serde shim derive: `tag` is only supported on enums");
-        };
-        for v in variants {
-            assert!(
-                !matches!(v.kind, VariantKind::Tuple(_)),
-                "serde shim derive: tuple variant `{name}::{}` cannot be internally tagged",
-                v.name
-            );
+    let name = ident_str(&toks[i + 1]).expect("serde shim derive: expected type name");
+    let (mut tag, mut rename_all) = (None, None);
+    for (key, value) in options {
+        match (key.as_str(), value) {
+            ("tag", Some(v)) => tag = Some(v),
+            ("rename_all", Some(v)) => rename_all = Some(v),
+            _ => panic!(
+                "serde shim derive: `{name}` has unsupported #[serde({key} ...)]; {SUPPORTED}"
+            ),
         }
     }
-    (shape, attrs, generics)
+    let body = brace_group(toks.get(i + 2));
+    let shape = match (kw.as_str(), body, tag, rename_all.as_deref()) {
+        ("struct", Some(g), None, None) => Shape::Struct(parse_named_fields(g)),
+        ("enum", Some(g), Some(tag), Some("snake_case")) => Shape::Tagged {
+            tag,
+            variants: parse_variants(g, &name),
+        },
+        _ => panic!("serde shim derive: `{name}` is not supported; {SUPPORTED}"),
+    };
+    (name, shape)
 }
 
-/// The on-the-wire name of a variant under the container's casing rule.
-fn wire_name(attrs: &ContainerAttrs, variant: &str) -> String {
-    if attrs.snake_case {
-        snake_case(variant)
-    } else {
-        variant.to_owned()
-    }
+/// `("key", <value expr>),` — one object entry in the expansion.
+fn entry(key: &str, value: &str) -> String {
+    format!("(::std::string::String::from(\"{key}\"), {value}),")
 }
 
 /// Derives the shim's `Serialize` trait.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let (shape, attrs, generics) = parse_shape(input);
-    let name = shape.name().to_owned();
+    let (name, shape) = parse_shape(input);
     let body = match &shape {
-        Shape::NamedStruct { fields, .. } => {
-            let mut entries = String::new();
-            for f in fields {
-                let _ = write!(
-                    entries,
-                    "(::std::string::String::from(\"{f}\"), \
-                     ::serde::Serialize::to_value(&self.{f})),"
-                );
-            }
+        Shape::Struct(fields) => {
+            let entries: String = fields
+                .iter()
+                .map(|f| entry(f, &format!("::serde::Serialize::to_value(&self.{f})")))
+                .collect();
             format!("::serde::Value::Object(::std::vec![{entries}])")
         }
-        Shape::TupleStruct { arity: 1, .. } => {
-            // Newtype structs serialize transparently, as in real serde.
-            "::serde::Serialize::to_value(&self.0)".to_owned()
-        }
-        Shape::TupleStruct { arity, .. } => {
-            let mut items = String::new();
-            for k in 0..*arity {
-                let _ = write!(items, "::serde::Serialize::to_value(&self.{k}),");
-            }
-            format!("::serde::Value::Array(::std::vec![{items}])")
-        }
-        Shape::UnitStruct { .. } => "::serde::Value::Null".to_owned(),
-        Shape::Enum { variants, .. } => {
+        Shape::Tagged { tag, variants } => {
             let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                let wn = wire_name(&attrs, vn);
-                if let Some(tag) = &attrs.tag {
-                    // Internally tagged: one flat object, tag key first.
-                    let tag_entry = format!(
-                        "(::std::string::String::from(\"{tag}\"), \
-                         ::serde::Value::Str(::std::string::String::from(\"{wn}\"))),"
-                    );
-                    match &v.kind {
-                        VariantKind::Unit => {
-                            let _ = write!(
-                                arms,
-                                "{name}::{vn} => \
-                                 ::serde::Value::Object(::std::vec![{tag_entry}]),"
-                            );
-                        }
-                        VariantKind::Named(fields) => {
-                            let pat = fields.join(", ");
-                            let entries: String = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::std::string::String::from(\"{f}\"), \
-                                         ::serde::Serialize::to_value({f})),"
-                                    )
-                                })
-                                .collect();
-                            let _ = write!(
-                                arms,
-                                "{name}::{vn} {{ {pat} }} => ::serde::Value::Object(\
-                                 ::std::vec![{tag_entry}{entries}]),"
-                            );
-                        }
-                        VariantKind::Tuple(_) => unreachable!("rejected by parse_shape"),
-                    }
-                    continue;
-                }
-                match &v.kind {
-                    VariantKind::Unit => {
-                        let _ = write!(
-                            arms,
-                            "{name}::{vn} => \
-                             ::serde::Value::Str(::std::string::String::from(\"{wn}\")),"
-                        );
-                    }
-                    VariantKind::Tuple(1) => {
-                        let _ = write!(
-                            arms,
-                            "{name}::{vn}(__f0) => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from(\"{wn}\"), \
-                             ::serde::Serialize::to_value(__f0))]),"
-                        );
-                    }
-                    VariantKind::Tuple(k) => {
-                        let binders: Vec<String> = (0..*k).map(|j| format!("__f{j}")).collect();
-                        let pat = binders.join(", ");
-                        let items: String = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                            .collect();
-                        let _ = write!(
-                            arms,
-                            "{name}::{vn}({pat}) => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from(\"{wn}\"), \
-                             ::serde::Value::Array(::std::vec![{items}]))]),"
-                        );
-                    }
-                    VariantKind::Named(fields) => {
-                        let pat = fields.join(", ");
-                        let entries: String = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from(\"{f}\"), \
-                                     ::serde::Serialize::to_value({f})),"
-                                )
-                            })
-                            .collect();
-                        let _ = write!(
-                            arms,
-                            "{name}::{vn} {{ {pat} }} => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from(\"{wn}\"), \
-                             ::serde::Value::Object(::std::vec![{entries}]))]),"
-                        );
-                    }
-                }
+            for (vn, fields) in variants {
+                let tag_entry = entry(
+                    tag,
+                    &format!(
+                        "::serde::Value::Str(::std::string::String::from(\"{}\"))",
+                        snake_case(vn)
+                    ),
+                );
+                let entries: String = fields
+                    .iter()
+                    .map(|f| entry(f, &format!("::serde::Serialize::to_value({f})")))
+                    .collect();
+                let _ = write!(
+                    arms,
+                    "{name}::{vn} {{ {} }} => \
+                     ::serde::Value::Object(::std::vec![{tag_entry}{entries}]),",
+                    fields.join(", ")
+                );
             }
             format!("match self {{ {arms} }}")
         }
     };
-    let (impl_params, ty_args) = generics_header(&generics, "::serde::Serialize");
-    let out = format!(
+    format!(
         "#[automatically_derived]\n\
-         impl{impl_params} ::serde::Serialize for {name}{ty_args} {{\n\
+         impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
          }}"
-    );
-    out.parse()
-        .expect("serde shim derive: generated invalid Serialize impl")
+    )
+    .parse()
+    .expect("serde shim derive: generated invalid Serialize impl")
+}
+
+/// `field: <from_value of the object's field>,` initializers naming `ty`
+/// in missing-field errors.
+fn field_inits(fields: &[String], ty: &str) -> String {
+    fields
+        .iter()
+        .map(|f| {
+            format!(
+                "{f}: ::serde::Deserialize::from_value(\
+                 ::serde::__get_field(__v, \"{f}\", \"{ty}\")?)?,"
+            )
+        })
+        .collect()
 }
 
 /// Derives the shim's `Deserialize` trait.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (shape, attrs, generics) = parse_shape(input);
-    let name = shape.name().to_owned();
+    let (name, shape) = parse_shape(input);
     let body = match &shape {
-        Shape::NamedStruct { fields, .. } => {
-            let mut inits = String::new();
-            for f in fields {
-                let _ = write!(
-                    inits,
-                    "{f}: ::serde::Deserialize::from_value(\
-                     ::serde::__get_field(__v, \"{f}\", \"{name}\")?)?,"
-                );
-            }
-            format!("::std::result::Result::Ok({name} {{ {inits} }})")
-        }
-        Shape::TupleStruct { arity: 1, .. } => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        Shape::TupleStruct { arity, .. } => {
-            let mut inits = String::new();
-            for k in 0..*arity {
-                let _ = write!(inits, "::serde::Deserialize::from_value(&__items[{k}])?,");
-            }
+        Shape::Struct(fields) => {
             format!(
-                "match __v {{\n\
-                     ::serde::Value::Array(__items) if __items.len() == {arity} => \
-                         ::std::result::Result::Ok({name}({inits})),\n\
-                     __other => ::serde::__type_error(\"{arity}-element array for {name}\", __other),\n\
-                 }}"
+                "::std::result::Result::Ok({name} {{ {} }})",
+                field_inits(fields, &name)
             )
         }
-        Shape::UnitStruct { .. } => format!("::std::result::Result::Ok({name})"),
-        Shape::Enum { variants, .. } if attrs.tag.is_some() => {
-            // Internally tagged: the tag key selects the variant and the
-            // remaining keys of the *same* object are its fields.
-            let tag = attrs.tag.as_deref().expect("guarded by match arm");
+        Shape::Tagged { tag, variants } => {
+            // The tag key selects the variant and the remaining keys of the
+            // *same* object are its fields.
             let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                let wn = wire_name(&attrs, vn);
-                match &v.kind {
-                    VariantKind::Unit => {
-                        let _ =
-                            write!(arms, "\"{wn}\" => ::std::result::Result::Ok({name}::{vn}),");
-                    }
-                    VariantKind::Named(fields) => {
-                        let inits: String = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(\
-                                     ::serde::__get_field(__v, \"{f}\", \
-                                     \"{name}::{vn}\")?)?,"
-                                )
-                            })
-                            .collect();
-                        let _ = write!(
-                            arms,
-                            "\"{wn}\" => ::std::result::Result::Ok({name}::{vn} {{ {inits} }}),"
-                        );
-                    }
-                    VariantKind::Tuple(_) => unreachable!("rejected by parse_shape"),
-                }
+            for (vn, fields) in variants {
+                let _ = write!(
+                    arms,
+                    "\"{}\" => ::std::result::Result::Ok({name}::{vn} {{ {} }}),",
+                    snake_case(vn),
+                    field_inits(fields, &format!("{name}::{vn}"))
+                );
             }
             format!(
                 "match __v {{\n\
@@ -630,86 +322,14 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                  }}"
             )
         }
-        Shape::Enum { variants, .. } => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                let wn = wire_name(&attrs, vn);
-                match &v.kind {
-                    VariantKind::Unit => {
-                        let _ = write!(
-                            unit_arms,
-                            "\"{wn}\" => ::std::result::Result::Ok({name}::{vn}),"
-                        );
-                    }
-                    VariantKind::Tuple(1) => {
-                        let _ = write!(
-                            data_arms,
-                            "\"{wn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_value(__payload)?)),"
-                        );
-                    }
-                    VariantKind::Tuple(k) => {
-                        let inits: String = (0..*k)
-                            .map(|j| format!("::serde::Deserialize::from_value(&__items[{j}])?,"))
-                            .collect();
-                        let _ = write!(
-                            data_arms,
-                            "\"{wn}\" => match __payload {{\n\
-                                 ::serde::Value::Array(__items) if __items.len() == {k} => \
-                                     ::std::result::Result::Ok({name}::{vn}({inits})),\n\
-                                 __other => ::serde::__type_error(\
-                                     \"{k}-element array for {name}::{vn}\", __other),\n\
-                             }},"
-                        );
-                    }
-                    VariantKind::Named(fields) => {
-                        let inits: String = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(\
-                                     ::serde::__get_field(__payload, \"{f}\", \
-                                     \"{name}::{vn}\")?)?,"
-                                )
-                            })
-                            .collect();
-                        let _ = write!(
-                            data_arms,
-                            "\"{wn}\" => ::std::result::Result::Ok({name}::{vn} {{ {inits} }}),"
-                        );
-                    }
-                }
-            }
-            format!(
-                "match __v {{\n\
-                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\n\
-                         __other => ::std::result::Result::Err(::serde::DeError::msg(\
-                             ::std::format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-                     }},\n\
-                     ::serde::Value::Object(__entries) if __entries.len() == 1 => {{\n\
-                         let (__key, __payload) = &__entries[0];\n\
-                         match __key.as_str() {{\n\
-                             {data_arms}\n\
-                             __other => ::std::result::Result::Err(::serde::DeError::msg(\
-                                 ::std::format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-                         }}\n\
-                     }}\n\
-                     __other => ::serde::__type_error(\"enum {name}\", __other),\n\
-                 }}"
-            )
-        }
     };
-    let (impl_params, ty_args) = generics_header(&generics, "::serde::Deserialize");
-    let out = format!(
+    format!(
         "#[automatically_derived]\n\
-         impl{impl_params} ::serde::Deserialize for {name}{ty_args} {{\n\
+         impl ::serde::Deserialize for {name} {{\n\
              fn from_value(__v: &::serde::Value) \
                  -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
          }}"
-    );
-    out.parse()
-        .expect("serde shim derive: generated invalid Deserialize impl")
+    )
+    .parse()
+    .expect("serde shim derive: generated invalid Deserialize impl")
 }

@@ -55,11 +55,6 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
-/// Converts a serializable value into a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
 /// Parses JSON text into any deserializable type.
 ///
 /// # Errors
