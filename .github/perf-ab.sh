@@ -21,9 +21,11 @@
 # (`base-scn-matrix.headers`, `base-scn-matrix.jsonl`, ...), and
 # summary.txt. Besides the verdict, the summary says for each workload
 # whether HEAD's digests equal BASE's (same simulated outputs) and lists
-# every run's `decides=`, which on `fleet-settle` must stay below
-# perfbench's 2^20 decide-sample room. Neither is a failure condition: a
-# deliberate re-golden changes digests.
+# every run's `decides=`, each also scaled to BENCHMARK.json's
+# `run_seconds` as a share of perfbench's 2^20 decide-sample room, with
+# `WARN` from 90 % up (`fleet-settle` comes closest). Neither is a failure
+# condition: a deliberate re-golden changes digests, and no 5-s run fills
+# the room.
 set -euo pipefail
 
 base_rev=${1:?usage: .github/perf-ab.sh BASE_REV}
@@ -66,11 +68,19 @@ for w in "${workloads[@]}"; do
   done
 done
 
-python3 - "$out" "${workloads[@]}" <<'EOF' | tee "$out/summary.txt"
+python3 - "$out" "$seconds" "${workloads[@]}" <<'EOF' | tee "$out/summary.txt"
 import json, re, statistics, sys
 
-out, workloads = sys.argv[1], sys.argv[2:]
-bounds = {m["name"]: m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+out, seconds, workloads = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
+bench = json.load(open("BENCHMARK.json"))
+bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+run_seconds = bench["run_seconds"]
+room = 2 ** 20  # FastCap decide samples perfbench pre-touches
+
+def headroom(decides):
+    share = int(decides) * run_seconds / seconds / room
+    return f"{decides} ({share:.1%}{' WARN' if share >= 0.9 else ''})"
+
 ok = True
 for w in workloads:
     runs = {b: [json.loads(l) for l in open(f"{out}/{b}-{w}.jsonl")]
@@ -97,7 +107,7 @@ for w in workloads:
     digests = {b: sorted({h["digest"] for h in hs}) for b, hs in fields.items()}
     same = "equal" if digests["base"] == digests["head"] else "DIFFER"
     print(f"  digests {same}: base {' '.join(digests['base'])} head {' '.join(digests['head'])}")
-    print("  decides: " + "; ".join(
-        f"{b} {' '.join(h['decides'] for h in hs)}" for b, hs in fields.items()))
+    print(f"  decides (share of the room at {run_seconds} s): " + "; ".join(
+        f"{b} {' '.join(headroom(h['decides']) for h in hs)}" for b, hs in fields.items()))
 sys.exit(0 if ok else 1)
 EOF

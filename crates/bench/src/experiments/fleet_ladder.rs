@@ -77,7 +77,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     // inside its point; bytes are schedule-invariant).
     let mut tier_sweep = Sweep::new();
     {
-        let (spec, spots): (&TreeSpec<LeafSpec>, &[usize]) = (&spec, &spots);
+        let (spec, spots): (&TreeSpec, &[usize]) = (&spec, &spots);
         tier_sweep.push(move |_| {
             let mut build = analytic_builder(opts.dilation());
             let fleet = Fleet::new(
@@ -231,7 +231,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
 }
 
 /// The payload of leaf `idx` (DFS preorder) in a canonical spec.
-fn leaf_payload(spec: &TreeSpec<LeafSpec>, idx: usize) -> &LeafSpec {
+fn leaf_payload(spec: &TreeSpec, idx: usize) -> &LeafSpec {
     let per_rack = spec.children[0].children.len();
     spec.children[idx / per_rack].children[idx % per_rack]
         .leaf

@@ -52,7 +52,7 @@ pub fn mix_by_name(name: &str) -> Result<WorkloadSpec> {
 /// The canonical fleet population: `racks × per_rack` servers of
 /// `n_cores` cores each, mixes rotating through [`FLEET_MIXES`] by global
 /// leaf index, all under [`FLEET_POLICY`].
-pub fn fleet_spec(racks: usize, per_rack: usize, n_cores: usize) -> TreeSpec<LeafSpec> {
+pub fn fleet_spec(racks: usize, per_rack: usize, n_cores: usize) -> TreeSpec {
     canonical_tree(racks, per_rack, |r, s| LeafSpec {
         mix: FLEET_MIXES[(r * per_rack + s) % FLEET_MIXES.len()].into(),
         n_cores,
@@ -232,7 +232,7 @@ pub fn settled_mean(series: &[f64], skip: usize) -> f64 {
 /// violations.
 pub fn run_analytic_fleet(
     cell: &str,
-    spec: &TreeSpec<LeafSpec>,
+    spec: &TreeSpec,
     scenario: &FleetScenario,
     fraction: f64,
     dilation: f64,

@@ -15,7 +15,7 @@
 
 use fastcap_bench::harness::{run_capped_only, Opts, PolicyKind};
 use fastcap_bench::sweep::derive_seed;
-use fastcap_fleet::{DesModel, Fleet, TreeSpec};
+use fastcap_fleet::{DesModel, Fleet, LeafSpec, TreeSpec};
 use fastcap_scenario::FleetScenario;
 use fastcap_workloads::mixes;
 use std::collections::BTreeMap;
@@ -92,8 +92,16 @@ fn des_tier_in_a_one_server_tree_reproduces_fig5_bit_for_bit() {
     let leaf_seed = derive_seed(fleet_seed, 0);
 
     for b in [0.4, 0.6, 0.8] {
-        let spec = TreeSpec::leaf("solo", ());
-        let mut build = |_leaf: &(), seed: u64, fraction: f64| {
+        // The payload names what the leaf runs; `build` ignores it.
+        let spec = TreeSpec::leaf(
+            "solo",
+            LeafSpec {
+                mix: "MEM3".into(),
+                n_cores: 16,
+                policy: "FastCap".into(),
+            },
+        );
+        let mut build = |_leaf: &LeafSpec, seed: u64, fraction: f64| {
             DesModel::new(cfg.clone(), &mix, "FastCap", fraction, seed)
         };
         let mut fleet =

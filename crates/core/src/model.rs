@@ -74,6 +74,27 @@ impl ResponseModel {
             ResponseModel::Multi(m) => m.response_time_for_core(core, bus_transfer_time),
         }
     }
+
+    /// Calls `f(i, R_i(s_b))` for each core `i < n`, in core order. A
+    /// single controller serves every core alike, so its `R(s_b)` is
+    /// computed once.
+    #[inline]
+    pub(crate) fn for_each_response_time(
+        &self,
+        n: usize,
+        bus_transfer_time: Secs,
+        mut f: impl FnMut(usize, Secs),
+    ) {
+        match self {
+            ResponseModel::Single(m) => {
+                let r = m.response_time(bus_transfer_time);
+                (0..n).for_each(|i| f(i, r));
+            }
+            ResponseModel::Multi(m) => {
+                (0..n).for_each(|i| f(i, m.response_time_for_core(i, bus_transfer_time)));
+            }
+        }
+    }
 }
 
 /// Optimization inputs for the memory subsystem.
@@ -293,5 +314,16 @@ mod tests {
             crate::queueing::MultiControllerModel::uniform(vec![rt], 2).unwrap(),
         );
         assert_eq!(multi.response_time(1, sb), rt.response_time(sb));
+        for response in [&single, &multi] {
+            let mut seen = Vec::new();
+            response.for_each_response_time(2, sb, |i, r| seen.push((i, r)));
+            assert_eq!(
+                seen,
+                [
+                    (0, response.response_time(0, sb)),
+                    (1, response.response_time(1, sb))
+                ]
+            );
+        }
     }
 }

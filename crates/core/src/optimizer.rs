@@ -24,8 +24,11 @@
 //! `O(N)` per candidate either way. Because the problem is convex,
 //! `D*(s_b)` is unimodal over the ordered candidate array, and Algorithm 1
 //! finds the global optimum with a binary search over the `M` memory
-//! frequencies — total cost `O(N log M)` ([`algorithm1`]). [`exhaustive`]
-//! scans all `M` candidates and exists purely as a correctness oracle.
+//! frequencies — total cost `O(N log M)` ([`algorithm1`]). The search
+//! compares bus points by their root alone and builds the per-core
+//! solution once, at the chosen point (DESIGN.md §14, step 6).
+//! [`exhaustive`] scans all `M` candidates and exists purely as a
+//! correctness oracle.
 
 use crate::error::{Error, Result};
 use crate::model::{CapModel, CoreModel};
@@ -85,9 +88,10 @@ pub struct BusPointSolution {
     /// Deterministic count of per-core terms evaluated while solving this
     /// bus point: the two constant-setup loops, every power sum (at
     /// `d_max`, Newton's, the two certificates' and the bisection's
-    /// midpoints between them) and the final think-time pass. Feeds the
-    /// cost model's `solver_iter` class; identical for identical inputs on
-    /// any host.
+    /// midpoints between them) and the final think-time pass. [`algorithm1`]
+    /// counts that final pass at every bus point it probes but runs it only
+    /// at the one it chooses. Feeds the cost model's `solver_iter` class;
+    /// identical for identical inputs on any host.
     pub core_terms: u64,
 }
 
@@ -106,9 +110,11 @@ pub struct Solution {
     /// complexity experiments; `O(log M)` for Algorithm 1, `M` for the
     /// exhaustive oracle).
     pub points_evaluated: usize,
-    /// Total per-core terms evaluated across all bus points touched
-    /// (summed [`BusPointSolution::core_terms`] at cache-fill time), for
-    /// the deterministic cost model.
+    /// Total per-core terms counted across all bus points touched, each
+    /// counted as [`BusPointSolution::core_terms`] counts it when first
+    /// touched, for the deterministic cost model. Every touched point
+    /// counts its final think-time pass, though [`algorithm1`] runs that
+    /// pass only at the chosen point.
     pub core_terms: u64,
 }
 
@@ -120,7 +126,9 @@ impl Solution {
     }
 }
 
-/// Solves the inner problem for a fixed `s_b` (Eq. 8 + power equality).
+/// Solves the inner problem for a fixed `s_b` (Eq. 8 + power equality):
+/// the root step ([`Probe::root`]) and then the per-core pass
+/// ([`Probe::solution`]) at the same point.
 ///
 /// When the budget binds, the root of `P(D) = core budget` is pinned by
 /// the bisection below, run from `(d_max·1e-9, d_max]` to a relative width
@@ -146,91 +154,165 @@ pub fn solve_for_bus_time(model: &CapModel, s_b: Secs) -> Result<Option<BusPoint
             why: format!("s_b ({s_b}) below minimum bus transfer time ({sb_bar})"),
         });
     }
-    let bus_scale = sb_bar / s_b;
-    let mem_dyn = model.memory.power.dynamic_power(bus_scale);
-    let dyn_budget = model.dynamic_budget();
+    let mut probe = Probe::new(model);
+    Ok(probe.root(s_b).map(|root| probe.solution(s_b, root)))
+}
 
-    // Infeasible: memory alone busts the budget even with idle cores.
-    if mem_dyn.get() >= dyn_budget.get() {
-        return Ok(None);
-    }
-    let core_budget = (dyn_budget - mem_dyn).get();
-    let mut point = BusPoint::new(model, s_b);
-    let d_max = point.d_max();
+/// One bus point's root: `D*(s_b)`, which alone steers Algorithm 1, and
+/// what [`Probe::solution`] needs to build the per-core solution there.
+#[derive(Clone, Copy)]
+struct Root {
+    /// `D*(s_b)`.
+    degradation: f64,
+    /// The core power an unbound point summed at `d_max`; `None` when the
+    /// budget binds.
+    unbound_power: Option<f64>,
+    /// The memory's frequency-dependent power at this `s_b`.
+    mem_dyn: Watts,
+    /// Every term the point counts, its final per-core pass included.
+    core_terms: u64,
+}
 
-    // Cost-gate test hook: burn the configured number of extra evaluations
-    // (normally zero). They are counted; the decision is untouched.
-    for _ in 0..injected_solver_iters() {
-        let _ = point.power(d_max);
-    }
+/// What one solve shares across its bus points, and its counts.
+struct Probe<'a> {
+    model: &'a CapModel,
+    /// `T̄_i = z̄_i + c_i + R_i(s̄_b)`: best turn-around, at maximum
+    /// frequencies. No `s_b` changes it.
+    t_bar: Vec<f64>,
+    /// `A_i = c_i + R_i(s_b)` at the bus point in hand: the
+    /// frequency-independent part of `z_i(D)`.
+    a: Vec<f64>,
+    /// Roots computed, feasible or not.
+    evaluated: usize,
+    /// Terms counted by the feasible ones.
+    core_terms: u64,
+}
 
-    // If even D = d_max fits the budget, performance saturates there and the
-    // budget is not binding.
-    let (p_max, slope_max) = point.power_and_slope(d_max);
-    if p_max <= core_budget {
-        return Ok(Some(point.solution(
-            d_max,
-            Some(p_max),
-            mem_dyn,
-            model.static_power,
-        )));
-    }
-
-    // Otherwise bisect the monotone power equality g(D) = budget, settling
-    // each midpoint beyond a certificate without summing.
-    let (under, over) = point.certificates(d_max, p_max, slope_max, core_budget);
-    let mut lo = d_max * 1e-9;
-    let mut hi = d_max;
-    let mut iters = 0;
-    while (hi - lo) > D_TOLERANCE * d_max && iters < MAX_BISECT_ITERS {
-        let mid = 0.5 * (lo + hi);
-        let over_budget = if mid >= over {
-            true
-        } else if mid <= under {
-            false
-        } else {
-            point.power(mid) > core_budget
-        };
-        if over_budget {
-            hi = mid;
-        } else {
-            lo = mid;
+impl<'a> Probe<'a> {
+    fn new(model: &'a CapModel) -> Self {
+        let n = model.n_cores();
+        let mut t_bar = Vec::with_capacity(n);
+        let sb_bar = model.memory.min_bus_transfer_time;
+        model
+            .memory
+            .response
+            .for_each_response_time(n, sb_bar, |i, r_bar| {
+                let c = &model.cores[i];
+                t_bar.push((c.min_think_time + c.cache_time + r_bar).get());
+            });
+        Self {
+            model,
+            t_bar,
+            a: Vec::with_capacity(n),
+            evaluated: 0,
+            core_terms: 0,
         }
-        iters += 1;
     }
-    let d = 0.5 * (lo + hi);
-    Ok(Some(point.solution(d, None, mem_dyn, model.static_power)))
+
+    /// Sets `A_i` for the bus point `s_b`.
+    fn set_bus_time(&mut self, s_b: Secs) {
+        let (cores, a) = (&self.model.cores, &mut self.a);
+        a.clear();
+        self.model
+            .memory
+            .response
+            .for_each_response_time(cores.len(), s_b, |i, r| {
+                a.push((cores[i].cache_time + r).get())
+            });
+    }
+
+    /// The root step at `s_b`: `D` and what the per-core pass needs, or
+    /// `None` when the memory alone busts the budget. It counts the final
+    /// pass's `N` terms whether or not that pass ever runs, so a point
+    /// costs the same counted work probed or chosen.
+    fn root(&mut self, s_b: Secs) -> Option<Root> {
+        self.evaluated += 1;
+        let model = self.model;
+        let bus_scale = model.memory.min_bus_transfer_time / s_b;
+        let mem_dyn = model.memory.power.dynamic_power(bus_scale);
+        let dyn_budget = model.dynamic_budget();
+
+        // Infeasible: memory alone busts the budget even with idle cores.
+        if mem_dyn.get() >= dyn_budget.get() {
+            return None;
+        }
+        let core_budget = (dyn_budget - mem_dyn).get();
+        self.set_bus_time(s_b);
+        let mut point = BusPoint::new(&model.cores, &self.t_bar, &self.a);
+        let d_max = point.d_max();
+
+        // Cost-gate test hook: burn the configured number of extra
+        // evaluations (normally zero). They are counted; the decision is
+        // untouched.
+        for _ in 0..injected_solver_iters() {
+            let _ = point.power(d_max);
+        }
+
+        // If even D = d_max fits the budget, performance saturates there
+        // and the budget is not binding.
+        let (p_max, slope_max) = point.power_and_slope(d_max);
+        let (degradation, unbound_power) = if p_max <= core_budget {
+            (d_max, Some(p_max))
+        } else {
+            // Otherwise bisect the monotone power equality g(D) = budget,
+            // settling each midpoint beyond a certificate without summing.
+            let (under, over) = point.certificates(d_max, p_max, slope_max, core_budget);
+            let mut lo = d_max * 1e-9;
+            let mut hi = d_max;
+            let mut iters = 0;
+            while (hi - lo) > D_TOLERANCE * d_max && iters < MAX_BISECT_ITERS {
+                let mid = 0.5 * (lo + hi);
+                let over_budget = if mid >= over {
+                    true
+                } else if mid <= under {
+                    false
+                } else {
+                    point.power(mid) > core_budget
+                };
+                if over_budget {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+                iters += 1;
+            }
+            (0.5 * (lo + hi), None)
+        };
+        let core_terms = point.terms + point.n();
+        self.core_terms += core_terms;
+        Some(Root {
+            degradation,
+            unbound_power,
+            mem_dyn,
+            core_terms,
+        })
+    }
+
+    /// The per-core pass at `root`, found at `s_b`.
+    fn solution(&mut self, s_b: Secs, root: Root) -> BusPointSolution {
+        self.set_bus_time(s_b);
+        BusPoint::new(&self.model.cores, &self.t_bar, &self.a)
+            .solution(root, self.model.static_power)
+    }
 }
 
 /// One bus point's per-core constants and its deterministic work meter.
 struct BusPoint<'a> {
     cores: &'a [CoreModel],
-    /// `T̄_i = z̄_i + c_i + R_i(s̄_b)`: best turn-around, at maximum
-    /// frequencies.
-    t_bar: Vec<f64>,
-    /// `A_i = c_i + R_i(s_b)`: the frequency-independent part of `z_i(D)`.
-    a: Vec<f64>,
+    t_bar: &'a [f64],
+    a: &'a [f64],
     /// One unit per per-core term evaluated at this bus point.
     terms: u64,
 }
 
 impl<'a> BusPoint<'a> {
-    fn new(model: &'a CapModel, s_b: Secs) -> Self {
-        let sb_bar = model.memory.min_bus_transfer_time;
-        let n = model.n_cores();
-        let mut t_bar = Vec::with_capacity(n);
-        let mut a = Vec::with_capacity(n);
-        for (i, c) in model.cores.iter().enumerate() {
-            let r_bar = model.memory.response.response_time(i, sb_bar);
-            let r = model.memory.response.response_time(i, s_b);
-            t_bar.push((c.min_think_time + c.cache_time + r_bar).get());
-            a.push((c.cache_time + r).get());
-        }
+    /// Counts the `N` setup terms of `T̄_i` and `A_i`.
+    fn new(cores: &'a [CoreModel], t_bar: &'a [f64], a: &'a [f64]) -> Self {
         Self {
-            cores: &model.cores,
+            cores,
             t_bar,
             a,
-            terms: n as u64,
+            terms: cores.len() as u64,
         }
     }
 
@@ -337,25 +419,19 @@ impl<'a> BusPoint<'a> {
         (under, over)
     }
 
-    /// Think times, scales and predicted power at `d`, in one pass.
-    /// `unbound_power` is the core power an unbound point already summed at
-    /// `d = d_max`; the point is then not budget-bound and the pass sums
-    /// no power. Otherwise the pass sums it, bit-equal to
-    /// [`BusPoint::power`]'s. Either way it counts `N` terms.
-    fn solution(
-        mut self,
-        d: f64,
-        unbound_power: Option<f64>,
-        mem_dyn: Watts,
-        static_power: Watts,
-    ) -> BusPointSolution {
+    /// The per-core pass: think times, scales and predicted power at the
+    /// root's `D`. An unbound root already holds its core power, summed at
+    /// `d_max`, and the pass sums none. Otherwise the pass sums it,
+    /// bit-equal to [`BusPoint::power`]'s. The root has counted the pass's
+    /// `N` terms.
+    fn solution(&self, root: Root, static_power: Watts) -> BusPointSolution {
         let n = self.cores.len();
-        let budget_bound = unbound_power.is_none();
+        let budget_bound = root.unbound_power.is_none();
         let mut think_times = Vec::with_capacity(n);
         let mut core_scales = Vec::with_capacity(n);
         let mut p = 0.0;
         for (i, c) in self.cores.iter().enumerate() {
-            let (z, scale) = self.term(i, d);
+            let (z, scale) = self.term(i, root.degradation);
             if budget_bound {
                 p += c.power.dynamic_power(scale).get();
             }
@@ -363,14 +439,13 @@ impl<'a> BusPoint<'a> {
             think_times.push(Secs(z));
             core_scales.push((c.min_think_time.get() / z).min(1.0));
         }
-        self.terms += self.n();
         BusPointSolution {
-            degradation: d,
+            degradation: root.degradation,
             think_times,
             core_scales,
-            predicted_power: Watts(unbound_power.unwrap_or(p)) + mem_dyn + static_power,
+            predicted_power: Watts(root.unbound_power.unwrap_or(p)) + root.mem_dyn + static_power,
             budget_bound,
-            core_terms: self.terms,
+            core_terms: root.core_terms,
         }
     }
 }
@@ -406,40 +481,28 @@ pub fn bus_candidates(min_bus_transfer_time: Secs, mem_freqs: &[crate::units::Hz
 /// * [`Error::Infeasible`] if *no* candidate admits a solution.
 pub fn algorithm1(model: &CapModel, candidates: &[Secs]) -> Result<Solution> {
     validate_candidates(model, candidates)?;
-    let mut evaluated = 0usize;
-    let mut terms_total = 0u64;
-    // Memoize candidate evaluations: the paper's loop re-touches neighbours.
-    let mut cache: Vec<Option<Option<BusPointSolution>>> = vec![None; candidates.len()];
-    let eval = |idx: usize,
-                cache: &mut Vec<Option<Option<BusPointSolution>>>,
-                evaluated: &mut usize,
-                terms: &mut u64|
-     -> Result<Option<BusPointSolution>> {
-        if cache[idx].is_none() {
-            *evaluated += 1;
-            let sol = solve_for_bus_time(model, candidates[idx])?;
-            if let Some(s) = &sol {
-                *terms += s.core_terms;
-            }
-            cache[idx] = Some(sol);
-        }
-        Ok(cache[idx].clone().expect("just filled"))
+    let mut probe = Probe::new(model);
+    // Memoize roots: the paper's loop re-touches neighbours. Only `D`
+    // steers the search, so the per-core pass runs once, at the chosen
+    // point.
+    let mut roots: Vec<Option<Option<Root>>> = vec![None; candidates.len()];
+    let mut memo = |probe: &mut Probe, idx: usize| {
+        *roots[idx].get_or_insert_with(|| probe.root(candidates[idx]))
     };
-    let d_of =
-        |sol: &Option<BusPointSolution>| sol.as_ref().map_or(f64::NEG_INFINITY, |s| s.degradation);
+    let d_of = |root: Option<Root>| root.map_or(f64::NEG_INFINITY, |r| r.degradation);
 
     let (mut l, mut r) = (0usize, candidates.len() - 1);
     let mut best_idx = None;
     while l != r {
         let m = (l + r) / 2;
-        let dm = d_of(&eval(m, &mut cache, &mut evaluated, &mut terms_total)?);
+        let dm = d_of(memo(&mut probe, m));
         let dp = if m < r {
-            d_of(&eval(m + 1, &mut cache, &mut evaluated, &mut terms_total)?)
+            d_of(memo(&mut probe, m + 1))
         } else {
             f64::NEG_INFINITY
         };
         let dn = if m > l {
-            d_of(&eval(m - 1, &mut cache, &mut evaluated, &mut terms_total)?)
+            d_of(memo(&mut probe, m - 1))
         } else {
             f64::NEG_INFINITY
         };
@@ -459,51 +522,40 @@ pub fn algorithm1(model: &CapModel, candidates: &[Secs]) -> Result<Solution> {
         }
     }
     let idx = best_idx.unwrap_or(l);
-    let inner = eval(idx, &mut cache, &mut evaluated, &mut terms_total)?;
-    match inner {
-        Some(inner) => Ok(make_solution(
-            model,
-            candidates,
-            idx,
-            inner,
-            evaluated,
-            terms_total,
-        )),
-        None => {
-            // The binary search landed on an infeasible point; the feasible
-            // region (if any) is the high-`s_b` suffix. Scan it (rare path).
-            for (i, &sb) in candidates.iter().enumerate().rev() {
-                evaluated += 1;
-                if let Some(inner) = solve_for_bus_time(model, sb)? {
-                    terms_total += inner.core_terms;
-                    // Feasible suffix found: ascend while D improves.
-                    let mut best = (i, inner);
-                    let mut j = i;
-                    while j > 0 {
-                        j -= 1;
-                        evaluated += 1;
-                        let next = solve_for_bus_time(model, candidates[j])?;
-                        if let Some(s) = &next {
-                            terms_total += s.core_terms;
-                        }
-                        match next {
-                            Some(s) if s.degradation > best.1.degradation => best = (j, s),
-                            _ => break,
-                        }
-                    }
-                    return Ok(make_solution(
-                        model,
-                        candidates,
-                        best.0,
-                        best.1,
-                        evaluated,
-                        terms_total,
-                    ));
+    let (idx, root) = match memo(&mut probe, idx) {
+        Some(root) => (idx, root),
+        None => scan_feasible_suffix(&mut probe, candidates)
+            .ok_or_else(|| infeasible_error(model, candidates))?,
+    };
+    let inner = probe.solution(candidates[idx], root);
+    Ok(make_solution(
+        model,
+        candidates,
+        idx,
+        inner,
+        probe.evaluated,
+        probe.core_terms,
+    ))
+}
+
+/// Algorithm 1's rare path, after its search lands on an infeasible point:
+/// the feasible region (if any) is the high-`s_b` suffix. Scans down from
+/// the slowest memory to the first feasible point, then ascends while `D`
+/// improves. Every root is computed afresh and counted again.
+fn scan_feasible_suffix(probe: &mut Probe, candidates: &[Secs]) -> Option<(usize, Root)> {
+    for i in (0..candidates.len()).rev() {
+        if let Some(root) = probe.root(candidates[i]) {
+            let mut best = (i, root);
+            for j in (0..i).rev() {
+                match probe.root(candidates[j]) {
+                    Some(next) if next.degradation > best.1.degradation => best = (j, next),
+                    _ => break,
                 }
             }
-            Err(infeasible_error(model, candidates))
+            return Some(best);
         }
     }
+    None
 }
 
 /// Exhaustive reference solver: evaluates every candidate and returns the

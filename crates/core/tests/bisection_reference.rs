@@ -11,11 +11,19 @@
 //! There the comparison is a tie, which only an exact sum settles the way
 //! the reference does, so a solver that compared midpoints with its Newton
 //! root instead would fail within a few models.
+//!
+//! The same models check `algorithm1`, which probes bus points by their
+//! root alone and runs the per-core pass once, at the chosen point,
+//! against `reference_algorithm1`, which memoizes full
+//! `solve_for_bus_time` results. The two must return the same bits, the
+//! same counts and the same errors, also where the search lands on an
+//! infeasible point and scans the feasible suffix.
 
+use fastcap_core::error::{Error, Result};
 use fastcap_core::freq::FreqLadder;
 use fastcap_core::model::{CapModel, CoreModel, MemoryModel, ResponseModel};
 use fastcap_core::optimizer::{
-    bus_candidates, solve_for_bus_time, BusPointSolution, NEWTON_MAX_ITERS,
+    algorithm1, bus_candidates, solve_for_bus_time, BusPointSolution, Solution, NEWTON_MAX_ITERS,
 };
 use fastcap_core::power::{ExponentBounds, PowerLaw};
 use fastcap_core::queueing::{MultiControllerModel, ResponseTimeModel};
@@ -263,6 +271,11 @@ struct Stats {
     evals: u64,
     reference_evals: u64,
     worst_evals: u64,
+    /// `algorithm1` comparisons, and how many of them scanned the feasible
+    /// suffix or found no feasible point.
+    searches: u64,
+    scans: u64,
+    infeasible: u64,
 }
 
 thread_local! {
@@ -331,6 +344,159 @@ fn check_point(model: &CapModel, s_b: Secs, what: &str, tie: bool) -> Vec<f64> {
     want.midpoints
 }
 
+/// The `algorithm1` that memoized full `solve_for_bus_time` results: it
+/// clones a whole solution out of its memo at every probe, validates the
+/// model at every solve, and its scan after an infeasible landing solves
+/// every point in full.
+fn reference_algorithm1(model: &CapModel, candidates: &[Secs]) -> Result<Solution> {
+    reference_validate_candidates(model, candidates)?;
+    let mut evaluated = 0usize;
+    let mut terms_total = 0u64;
+    let mut cache: Vec<Option<Option<BusPointSolution>>> = vec![None; candidates.len()];
+    let eval = |idx: usize,
+                cache: &mut Vec<Option<Option<BusPointSolution>>>,
+                evaluated: &mut usize,
+                terms: &mut u64|
+     -> Result<Option<BusPointSolution>> {
+        if cache[idx].is_none() {
+            *evaluated += 1;
+            let sol = solve_for_bus_time(model, candidates[idx])?;
+            if let Some(s) = &sol {
+                *terms += s.core_terms;
+            }
+            cache[idx] = Some(sol);
+        }
+        Ok(cache[idx].clone().expect("just filled"))
+    };
+    let d_of =
+        |sol: &Option<BusPointSolution>| sol.as_ref().map_or(f64::NEG_INFINITY, |s| s.degradation);
+
+    let (mut l, mut r) = (0usize, candidates.len() - 1);
+    let mut best_idx = None;
+    while l != r {
+        let m = (l + r) / 2;
+        let dm = d_of(&eval(m, &mut cache, &mut evaluated, &mut terms_total)?);
+        let dp = if m < r {
+            d_of(&eval(m + 1, &mut cache, &mut evaluated, &mut terms_total)?)
+        } else {
+            f64::NEG_INFINITY
+        };
+        let dn = if m > l {
+            d_of(&eval(m - 1, &mut cache, &mut evaluated, &mut terms_total)?)
+        } else {
+            f64::NEG_INFINITY
+        };
+        if dm < dp {
+            l = m + 1;
+        } else if dn > dm {
+            r = m.saturating_sub(1).max(l);
+            if r == m {
+                break;
+            }
+        } else {
+            best_idx = Some(m);
+            break;
+        }
+    }
+    let idx = best_idx.unwrap_or(l);
+    let make = |idx: usize, inner, points_evaluated, core_terms| Solution {
+        bus_index: idx,
+        bus_transfer_time: candidates[idx],
+        bus_scale: model.memory.min_bus_transfer_time / candidates[idx],
+        inner,
+        points_evaluated,
+        core_terms,
+    };
+    if let Some(inner) = eval(idx, &mut cache, &mut evaluated, &mut terms_total)? {
+        return Ok(make(idx, inner, evaluated, terms_total));
+    }
+    STATS.with(|s| s.borrow_mut().scans += 1);
+    for (i, &sb) in candidates.iter().enumerate().rev() {
+        evaluated += 1;
+        if let Some(inner) = solve_for_bus_time(model, sb)? {
+            terms_total += inner.core_terms;
+            let mut best = (i, inner);
+            let mut j = i;
+            while j > 0 {
+                j -= 1;
+                evaluated += 1;
+                let next = solve_for_bus_time(model, candidates[j])?;
+                if let Some(s) = &next {
+                    terms_total += s.core_terms;
+                }
+                match next {
+                    Some(s) if s.degradation > best.1.degradation => best = (j, s),
+                    _ => break,
+                }
+            }
+            return Ok(make(best.0, best.1, evaluated, terms_total));
+        }
+    }
+    let slowest = candidates[candidates.len() - 1];
+    let mem_min = model
+        .memory
+        .power
+        .dynamic_power(model.memory.min_bus_transfer_time / slowest);
+    Err(Error::Infeasible {
+        floor_watts: (model.static_power + mem_min).get(),
+        budget_watts: model.budget.get(),
+    })
+}
+
+fn reference_validate_candidates(model: &CapModel, candidates: &[Secs]) -> Result<()> {
+    model.validate()?;
+    let invalid = |why: &str| Err(Error::InvalidModel { why: why.into() });
+    if candidates.is_empty() {
+        return invalid("candidate s_b array is empty");
+    }
+    if candidates
+        .windows(2)
+        .any(|w| w[1].partial_cmp(&w[0]).is_none_or(|o| o.is_lt()))
+    {
+        return invalid("candidate s_b array must be sorted ascending");
+    }
+    if candidates[0] < model.memory.min_bus_transfer_time {
+        return invalid("candidates include s_b below the minimum bus transfer time");
+    }
+    Ok(())
+}
+
+/// Compares `algorithm1` with the reference on one model: every field as
+/// raw bits, every count, or the same error.
+fn check_algorithm1(model: &CapModel, candidates: &[Secs], what: &str) {
+    let got = algorithm1(model, candidates);
+    let want = reference_algorithm1(model, candidates);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g.bus_index, w.bus_index, "{what}: bus index");
+            assert_eq!(
+                g.bus_transfer_time.get().to_bits(),
+                w.bus_transfer_time.get().to_bits(),
+                "{what}: bus transfer time"
+            );
+            assert_eq!(
+                g.bus_scale.to_bits(),
+                w.bus_scale.to_bits(),
+                "{what}: bus scale"
+            );
+            assert_bit_equal(&g.inner, &w.inner, what);
+            assert_eq!(
+                g.inner.core_terms, w.inner.core_terms,
+                "{what}: inner terms"
+            );
+            assert_eq!(g.points_evaluated, w.points_evaluated, "{what}: points");
+            assert_eq!(g.core_terms, w.core_terms, "{what}: terms");
+        }
+        (Err(g), Err(w)) => assert_eq!(g, w, "{what}: errors"),
+        _ => panic!("{what}: {got:?} against the reference's {want:?}"),
+    }
+    STATS.with(|s| {
+        let mut s = s.borrow_mut();
+        s.searches += 1;
+        s.infeasible += u64::from(matches!(want, Err(Error::Infeasible { .. })));
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1500))]
 
@@ -352,6 +518,55 @@ proptest! {
             }
         }
     }
+
+    fn root_memo_case(seed in any::<u64>()) {
+        let model = random_model(seed);
+        let cands = bus_candidates(
+            model.memory.min_bus_transfer_time,
+            FreqLadder::ispass_memory_bus().levels(),
+        );
+        check_algorithm1(&model, &cands, &format!("seed {seed}"));
+        // Half the slowest memory's floor: no point is feasible.
+        let floor = model.static_power
+            + model
+                .memory
+                .power
+                .dynamic_power(model.memory.min_bus_transfer_time / cands[cands.len() - 1]);
+        let mut starved = model.clone();
+        starved.budget = Watts(0.5 * floor.get());
+        check_algorithm1(&starved, &cands, &format!("seed {seed}, half the floor"));
+    }
+}
+
+#[test]
+fn root_memo_matches_the_solution_memo_bit_for_bit() {
+    // Malformed inputs fail with the same error.
+    let model = random_model(0);
+    let cands = bus_candidates(
+        model.memory.min_bus_transfer_time,
+        FreqLadder::ispass_memory_bus().levels(),
+    );
+    let mut coreless = model.clone();
+    coreless.cores.clear();
+    for (m, c) in [
+        (&model, &[][..]),
+        (&model, &[cands[1], cands[0]][..]),
+        (&model, &[Secs::from_nanos(1.0)][..]),
+        (&coreless, &cands[..]),
+    ] {
+        check_algorithm1(m, c, &format!("malformed: {c:?}, {} cores", m.n_cores()));
+    }
+    root_memo_case();
+    let s = STATS.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    eprintln!(
+        "{} searches; {} landed on an infeasible point and scanned the suffix, \
+         {} of them finding no feasible point",
+        s.searches, s.scans, s.infeasible
+    );
+    assert!(
+        s.scans - s.infeasible >= 300 && s.infeasible >= 1000,
+        "too few scans or infeasible models exercised"
+    );
 }
 
 #[test]

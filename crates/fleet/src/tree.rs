@@ -68,24 +68,23 @@ pub enum Node {
     Server,
 }
 
-/// Static description of one budget-tree node, generic over the leaf
-/// payload (the workspace uses [`LeafSpec`]).
+/// Static description of one budget-tree node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TreeSpec<L> {
+pub struct TreeSpec {
     /// Unique node name (e.g. `dc`, `rack3`, `srv3_7`).
     pub name: String,
     /// Static capacity clamp: the node may hand its subtree at most this
     /// fraction of the subtree's aggregate peak. In `(0, 1]`.
     pub capacity_fraction: f64,
     /// Child subtrees (empty exactly when `leaf` is set).
-    pub children: Vec<TreeSpec<L>>,
+    pub children: Vec<TreeSpec>,
     /// Leaf payload (set exactly when `children` is empty).
-    pub leaf: Option<L>,
+    pub leaf: Option<LeafSpec>,
 }
 
-impl<L> TreeSpec<L> {
+impl TreeSpec {
     /// A leaf node at full capacity.
-    pub fn leaf(name: impl Into<String>, payload: L) -> Self {
+    pub fn leaf(name: impl Into<String>, payload: LeafSpec) -> Self {
         Self {
             name: name.into(),
             capacity_fraction: 1.0,
@@ -99,7 +98,7 @@ impl<L> TreeSpec<L> {
     pub fn interior(
         name: impl Into<String>,
         capacity_fraction: f64,
-        children: Vec<TreeSpec<L>>,
+        children: Vec<TreeSpec>,
     ) -> Self {
         Self {
             name: name.into(),
@@ -120,8 +119,7 @@ impl<L> TreeSpec<L> {
     }
 }
 
-/// The workspace's leaf payload: which workload/platform/policy one
-/// server runs.
+/// A leaf's payload: which workload/platform/policy one server runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafSpec {
     /// Workload mix name (resolved by `fastcap_workloads::mixes`).
@@ -134,11 +132,11 @@ pub struct LeafSpec {
 
 /// The canonical two-level fleet: `dc` → `rack{r}` → `srv{r}_{s}`, every
 /// node at full capacity, leaf payloads from `leaf(rack, server)`.
-pub fn canonical_tree<L>(
+pub fn canonical_tree(
     racks: usize,
     servers_per_rack: usize,
-    mut leaf: impl FnMut(usize, usize) -> L,
-) -> TreeSpec<L> {
+    mut leaf: impl FnMut(usize, usize) -> LeafSpec,
+) -> TreeSpec {
     assert!(racks > 0 && servers_per_rack > 0, "empty canonical tree");
     let children = (0..racks)
         .map(|r| {
@@ -266,12 +264,12 @@ impl<M: ServerModel> Fleet<M> {
     /// capacity outside `(0, 1]`), a fraction outside `(0, 1]`, a
     /// scenario event naming an unknown node or offlining the root, and
     /// propagates leaf-model construction failures.
-    pub fn new<L>(
-        spec: &TreeSpec<L>,
+    pub fn new(
+        spec: &TreeSpec,
         scenario: &FleetScenario,
         fraction: f64,
         fleet_seed: u64,
-        build: &mut dyn FnMut(&L, u64, f64) -> Result<M>,
+        build: &mut dyn FnMut(&LeafSpec, u64, f64) -> Result<M>,
     ) -> Result<Self> {
         if !(fraction > 0.0 && fraction <= 1.0) {
             return Err(invalid(format!(
@@ -337,14 +335,14 @@ impl<M: ServerModel> Fleet<M> {
         Ok(fleet)
     }
 
-    fn flatten<L>(
+    fn flatten(
         &mut self,
-        spec: &TreeSpec<L>,
+        spec: &TreeSpec,
         parent: Option<usize>,
         names: &mut HashMap<String, usize>,
         fleet_seed: u64,
         fraction: f64,
-        build: &mut dyn FnMut(&L, u64, f64) -> Result<M>,
+        build: &mut dyn FnMut(&LeafSpec, u64, f64) -> Result<M>,
     ) -> Result<usize> {
         if spec.name.is_empty() {
             return Err(invalid("node with empty name".into()));
