@@ -8,18 +8,21 @@
 //! transient overshoot on the way down — the capping-quality axis no
 //! static artifact covers.
 
-use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind};
+use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
 use crate::sweep::Sweep;
 use crate::table::{f3, pct, ResultTable};
 use fastcap_core::error::Result;
 use fastcap_scenario::ScenarioRunner;
 use fastcap_workloads::mixes;
 
-/// The checked-in default scenario.
-const DEFAULT_SCENARIO: &str = include_str!("../../../../scenarios/scn_capstep.json");
-
-/// Budget fraction in force at epoch 0 (the scenario steps away from it).
-const INITIAL_BUDGET: f64 = 0.9;
+/// The artifact's checked-in scenario, its initial budget (the scenario
+/// steps away from it) and mix.
+pub const SPEC: ScnArtifactSpec = ScnArtifactSpec {
+    id: "scn_capstep",
+    scenario_json: include_str!("../../../../scenarios/scn_capstep.json"),
+    initial_budget: 0.9,
+    mix: "MID1",
+};
 
 /// Settling tolerance: power within 2% above the cap counts as settled.
 const TOLERANCE: f64 = 0.02;
@@ -33,9 +36,9 @@ const TOLERANCE: f64 = 0.02;
 /// Propagates harness and scenario failures.
 pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     let cfg = opts.sim_config(16)?;
-    let mix = mixes::by_name("MID1").expect("MID1 exists");
-    let scenario = resolve_scenario(opts, DEFAULT_SCENARIO)?;
-    let runner = ScenarioRunner::new(&scenario, INITIAL_BUDGET)?;
+    let mix = mixes::by_name(SPEC.mix).expect("SPEC names a Table III mix");
+    let scenario = resolve_scenario(opts, SPEC.scenario_json)?;
+    let runner = ScenarioRunner::new(&scenario, SPEC.initial_budget)?;
     let epochs = opts.epochs();
 
     let mut sweep = Sweep::new();
@@ -66,7 +69,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
             format!(
                 "Budget step {}% → {}% at epoch {step}: settling + transient overshoot \
                  (MID1, 16 cores)",
-                (INITIAL_BUDGET * 100.0).round(),
+                (SPEC.initial_budget * 100.0).round(),
                 (step_frac * 100.0).round()
             ),
             &[

@@ -9,7 +9,7 @@
 //! replays dynamically: throughput-maximizing policies starve the surging
 //! cores precisely when they have the most work.
 
-use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind};
+use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
 use crate::sweep::Sweep;
 use crate::table::{f3, ResultTable};
 use fastcap_core::error::Result;
@@ -18,11 +18,14 @@ use fastcap_scenario::ScenarioRunner;
 use fastcap_sim::ControlAction;
 use fastcap_workloads::mixes;
 
-/// The checked-in default scenario.
-const DEFAULT_SCENARIO: &str = include_str!("../../../../scenarios/scn_flashcrowd.json");
-
-/// Budget fraction in force throughout.
-const BUDGET: f64 = 0.6;
+/// The artifact's checked-in scenario, its budget (in force throughout)
+/// and mix.
+pub const SPEC: ScnArtifactSpec = ScnArtifactSpec {
+    id: "scn_flashcrowd",
+    scenario_json: include_str!("../../../../scenarios/scn_flashcrowd.json"),
+    initial_budget: 0.6,
+    mix: "MIX2",
+};
 
 /// Runs the experiment. Sweep: the uncapped baseline plus one point per
 /// policy, all on a **shared** RNG stream (everyone faces the identical
@@ -33,9 +36,9 @@ const BUDGET: f64 = 0.6;
 /// Propagates harness and scenario failures.
 pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     let cfg = opts.sim_config(16)?;
-    let mix = mixes::by_name("MIX2").expect("MIX2 exists");
-    let scenario = resolve_scenario(opts, DEFAULT_SCENARIO)?;
-    let runner = ScenarioRunner::new(&scenario, BUDGET)?;
+    let mix = mixes::by_name(SPEC.mix).expect("SPEC names a Table III mix");
+    let scenario = resolve_scenario(opts, SPEC.scenario_json)?;
+    let runner = ScenarioRunner::new(&scenario, SPEC.initial_budget)?;
     let epochs = opts.epochs();
 
     let mut sweep = Sweep::new();
@@ -82,7 +85,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
              uncapped-same-scenario",
             surge.0,
             surge.1,
-            (BUDGET * 100.0).round()
+            (SPEC.initial_budget * 100.0).round()
         ),
         &[
             "policy",

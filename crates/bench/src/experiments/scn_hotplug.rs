@@ -3,23 +3,26 @@
 //! power-gates cores 0–3 at epoch 14 and brings them back at epoch 28.
 //! At each transition the model-predictive policies warm-carry the
 //! surviving cores' fitted power models onto the new online set, while
-//! Freq-Par, which declines, is rebuilt for it — the measured quantity is
+//! Freq-Par re-scopes its feedback quota to it — the measured quantity is
 //! how many epochs each policy needs to re-concentrate the unchanged
 //! machine budget onto 12 cores, and how badly it overshoots when 4 cold
 //! cores return.
 
-use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind};
+use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
 use crate::sweep::Sweep;
 use crate::table::{f3, pct, ResultTable};
 use fastcap_core::error::Result;
 use fastcap_scenario::ScenarioRunner;
 use fastcap_workloads::mixes;
 
-/// The checked-in default scenario.
-const DEFAULT_SCENARIO: &str = include_str!("../../../../scenarios/scn_hotplug.json");
-
-/// Budget fraction in force throughout.
-const BUDGET: f64 = 0.6;
+/// The artifact's checked-in scenario, its budget (in force throughout)
+/// and mix.
+pub const SPEC: ScnArtifactSpec = ScnArtifactSpec {
+    id: "scn_hotplug",
+    scenario_json: include_str!("../../../../scenarios/scn_hotplug.json"),
+    initial_budget: 0.6,
+    mix: "MIX3",
+};
 
 /// Re-balance target: the policy has re-concentrated the budget once
 /// epoch power is back above this fraction of the cap.
@@ -37,9 +40,9 @@ const TOLERANCE: f64 = 0.02;
 /// Propagates harness and scenario failures.
 pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     let cfg = opts.sim_config(16)?;
-    let mix = mixes::by_name("MIX3").expect("MIX3 exists");
-    let scenario = resolve_scenario(opts, DEFAULT_SCENARIO)?;
-    let runner = ScenarioRunner::new(&scenario, BUDGET)?;
+    let mix = mixes::by_name(SPEC.mix).expect("SPEC names a Table III mix");
+    let scenario = resolve_scenario(opts, SPEC.scenario_json)?;
+    let runner = ScenarioRunner::new(&scenario, SPEC.initial_budget)?;
     let epochs = opts.epochs();
 
     let mut sweep = Sweep::new();
@@ -51,7 +54,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     }
     let runs = sweep.run(opts)?;
     let peak = cfg.peak_power.get();
-    let budget = BUDGET * peak;
+    let budget = SPEC.initial_budget * peak;
 
     // Hotplug windows from the compiled mask schedule: first move takes
     // cores away, second brings them back.
@@ -68,7 +71,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
         format!(
             "Hotplug: 4 of 16 cores offline at epoch {off_at}, back at epoch {on_at} \
              (MIX3, B = {}%): re-balance latency per policy",
-            (BUDGET * 100.0).round()
+            (SPEC.initial_budget * 100.0).round()
         ),
         &[
             "policy",

@@ -91,20 +91,7 @@ impl MatrixSpec {
         } else {
             policy_list
                 .split(',')
-                .map(|name| {
-                    PolicyKind::from_name(name.trim()).ok_or_else(|| Error::InvalidConfig {
-                        what: "matrix",
-                        why: format!(
-                            "unknown policy `{}`; known: {}",
-                            name.trim(),
-                            PolicyKind::SCENARIO_SET
-                                .iter()
-                                .map(|k| k.name())
-                                .collect::<Vec<_>>()
-                                .join(" ")
-                        ),
-                    })
-                })
+                .map(|name| PolicyKind::parse(name.trim()))
                 .collect::<Result<Vec<_>>>()?
         };
         Ok(Self {

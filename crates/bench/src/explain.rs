@@ -6,13 +6,15 @@
 //! solver iterations, candidate count, chosen frequency vector,
 //! predicted vs measured power, slack, modeled decide latency) around
 //! each oracle violation — or, for a green run, around the scenario's
-//! first budget move so the settle transient is still explained.
+//! first budget or hotplug move so the settle transient is still
+//! explained.
 //!
 //! Everything here is deterministic: the runs use the same derived seed
 //! as the artifact's sweep (stream 0), and timestamps come from the
 //! modeled-cost clock, so two invocations print identical trails.
 
-use crate::harness::{resolve_scenario, Opts, PolicyKind};
+use crate::experiments::{scn_capstep, scn_flashcrowd, scn_hotplug};
+use crate::harness::{resolve_scenario, Opts, PolicyKind, ScnArtifactSpec};
 use fastcap_core::error::{Error, Result};
 use fastcap_scenario::{oracle, ScenarioRunner};
 use fastcap_sim::Server;
@@ -21,42 +23,9 @@ use fastcap_workloads::mixes;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// How a scenario artifact is reconstructed outside its sweep: the same
-/// embedded scenario, initial budget and mix its runner uses.
-#[derive(Debug, Clone, Copy)]
-pub struct ScnArtifactSpec {
-    /// Artifact id (`scn_capstep`, …).
-    pub id: &'static str,
-    /// The checked-in default scenario JSON (compile-time embedded).
-    pub scenario_json: &'static str,
-    /// Budget fraction in force at epoch 0.
-    pub initial_budget: f64,
-    /// Workload mix the artifact runs.
-    pub mix: &'static str,
-}
-
-/// The explainable scenario artifacts, mirroring each `scn_*` runner's
-/// constants (same embedded scenario, initial budget, and mix).
-pub const SCN_ARTIFACTS: [ScnArtifactSpec; 3] = [
-    ScnArtifactSpec {
-        id: "scn_capstep",
-        scenario_json: include_str!("../../../scenarios/scn_capstep.json"),
-        initial_budget: 0.9,
-        mix: "MID1",
-    },
-    ScnArtifactSpec {
-        id: "scn_flashcrowd",
-        scenario_json: include_str!("../../../scenarios/scn_flashcrowd.json"),
-        initial_budget: 0.6,
-        mix: "MIX2",
-    },
-    ScnArtifactSpec {
-        id: "scn_hotplug",
-        scenario_json: include_str!("../../../scenarios/scn_hotplug.json"),
-        initial_budget: 0.6,
-        mix: "MIX3",
-    },
-];
+/// The explainable scenario artifacts, each as its runner sets it up.
+pub const SCN_ARTIFACTS: [ScnArtifactSpec; 3] =
+    [scn_capstep::SPEC, scn_flashcrowd::SPEC, scn_hotplug::SPEC];
 
 /// Context epochs printed on each side of a violation (the K of the
 /// "K epochs around it" trail).
@@ -87,8 +56,8 @@ fn fmt_opt_w(v: Option<f64>) -> String {
 }
 
 /// The epochs worth printing: a ±[`CONTEXT_EPOCHS`] window around every
-/// violation epoch, or (green run) around the first budget move plus its
-/// settle window.
+/// violation epoch, or (green run) around the first budget or hotplug
+/// move plus its settle window.
 fn focus_epochs(violations: &[u64], first_move: Option<u64>, epochs: u64) -> BTreeSet<u64> {
     let mut focus = BTreeSet::new();
     let mut widen = |center: u64, after: u64| {
@@ -219,7 +188,13 @@ pub fn run_explain(artifact: &str, opts: &Opts) -> Result<ExplainReport> {
     let mut base_srv = Server::for_workload(cfg.clone(), &mix, seed)?;
     runner.install(&mut base_srv)?;
     let base = runner.run(&mut base_srv, epochs, None)?;
-    let first_move = runner.budget_moves().first().map(|&(e, _)| e);
+    let first_move = [
+        runner.budget_moves().first().map(|&(e, _)| e),
+        runner.mask_moves().first().map(|&(e, _)| e),
+    ]
+    .into_iter()
+    .flatten()
+    .min();
 
     let mut all_green = true;
     for kind in PolicyKind::SCENARIO_SET {
@@ -323,6 +298,24 @@ mod tests {
         assert_eq!(fmt_freqs(&[7, 3]), "7 3");
         assert_eq!(fmt_opt_w(None), "-");
         assert_eq!(fmt_opt_w(Some(60.0)), "60.00");
+    }
+
+    #[test]
+    fn explain_trails_the_hotplug_moves() {
+        let opts = Opts {
+            quick: true,
+            ..Opts::default()
+        };
+        let text = run_explain("scn_hotplug", &opts).unwrap().text;
+        let freq_par = text
+            .split("\n## ")
+            .find(|s| s.starts_with("Freq-Par"))
+            .expect("a Freq-Par section");
+        assert!(freq_par.contains("decision trail"), "{freq_par}");
+        assert!(
+            freq_par.contains("| *hotplug: online=12/16* |"),
+            "{freq_par}"
+        );
     }
 
     #[test]

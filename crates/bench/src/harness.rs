@@ -1,6 +1,7 @@
-//! Shared experiment machinery: policy construction, baseline/capped run
-//! pairs, and observation synthesis for the algorithm-only probes (Table
-//! I, `overhead`, the cost-model probes). The sweep execution engine that
+//! Shared experiment machinery: baseline/capped run pairs over the
+//! [`PolicyKind`] registry (re-exported here), scenario runs, and
+//! observation synthesis for the algorithm-only probes (Table I,
+//! `overhead`, the cost-model probes). The sweep execution engine that
 //! shards these runs across `--jobs` worker threads lives in
 //! [`crate::sweep`].
 
@@ -8,10 +9,8 @@ use fastcap_core::capper::FastCapConfig;
 use fastcap_core::counters::{CoreSample, EpochObservation, MemorySample};
 use fastcap_core::error::{Error, Result};
 use fastcap_core::units::{Hz, Secs, Watts};
-use fastcap_policies::{
-    CappingPolicy, ClosedLoop, CpuOnlyPolicy, EqlFreqPolicy, EqlPwrPolicy, FastCapPolicy,
-    FreqParPolicy, MaxBipsBeamPolicy, MaxBipsPolicy,
-};
+use fastcap_policies::ClosedLoop;
+pub use fastcap_policies::PolicyKind;
 use fastcap_scenario::{Scenario, ScenarioRunner};
 use fastcap_sim::{RunResult, Server, SimConfig};
 use fastcap_workloads::WorkloadSpec;
@@ -83,81 +82,6 @@ impl Opts {
     /// Propagates [`SimConfig::ispass`] validation.
     pub fn sim_config(&self, n_cores: usize) -> Result<SimConfig> {
         Ok(SimConfig::ispass(n_cores)?.with_time_dilation(self.dilation()))
-    }
-}
-
-/// Which capping policy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// The paper's policy.
-    FastCap,
-    /// FastCap minus memory DVFS.
-    CpuOnly,
-    /// Linear feedback control (Ma et al.).
-    FreqPar,
-    /// Equal per-core power shares (Sharkey et al.).
-    EqlPwr,
-    /// One global core frequency (Herbert & Marculescu).
-    EqlFreq,
-    /// Exhaustive throughput maximization (Isci et al.).
-    MaxBips,
-    /// Beam-search MaxBIPS: same objective, scales past 8 cores (used in
-    /// the 16-core `scn_*` scenario artifacts).
-    MaxBipsBeam,
-}
-
-impl PolicyKind {
-    /// The policy set the scenario artifacts compare, in display order:
-    /// every baseline that runs at 16 cores, with MaxBIPS represented by
-    /// its beam-search variant.
-    pub const SCENARIO_SET: [PolicyKind; 6] = [
-        PolicyKind::FastCap,
-        PolicyKind::CpuOnly,
-        PolicyKind::FreqPar,
-        PolicyKind::EqlPwr,
-        PolicyKind::EqlFreq,
-        PolicyKind::MaxBipsBeam,
-    ];
-
-    /// Resolves a display name (case-insensitive) to a member of the
-    /// 16-core-capable policy set — the `repro matrix --policies` parser.
-    /// Exhaustive MaxBIPS is deliberately absent: it cannot build at the
-    /// matrix's 16-core platform (its beam variant can).
-    pub fn from_name(name: &str) -> Option<PolicyKind> {
-        PolicyKind::SCENARIO_SET
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(name))
-    }
-
-    /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::FastCap => "FastCap",
-            PolicyKind::CpuOnly => "CPU-only",
-            PolicyKind::FreqPar => "Freq-Par",
-            PolicyKind::EqlPwr => "Eql-Pwr",
-            PolicyKind::EqlFreq => "Eql-Freq",
-            PolicyKind::MaxBips => "MaxBIPS",
-            PolicyKind::MaxBipsBeam => "MaxBIPS-beam",
-        }
-    }
-
-    /// Instantiates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy constructor failures (e.g. MaxBIPS on too many
-    /// cores).
-    pub fn build(self, cfg: FastCapConfig) -> Result<Box<dyn CappingPolicy>> {
-        Ok(match self {
-            PolicyKind::FastCap => Box::new(FastCapPolicy::new(cfg)?),
-            PolicyKind::CpuOnly => Box::new(CpuOnlyPolicy::new(cfg)?),
-            PolicyKind::FreqPar => Box::new(FreqParPolicy::new(cfg)?),
-            PolicyKind::EqlPwr => Box::new(EqlPwrPolicy::new(cfg)?),
-            PolicyKind::EqlFreq => Box::new(EqlFreqPolicy::new(cfg)?),
-            PolicyKind::MaxBips => Box::new(MaxBipsPolicy::new(cfg)?),
-            PolicyKind::MaxBipsBeam => Box::new(MaxBipsBeamPolicy::new(cfg)?),
-        })
     }
 }
 
@@ -249,6 +173,21 @@ pub fn run_capped_only(
             Ok(result)
         }
     }
+}
+
+/// How an `scn_*` artifact is set up: its embedded scenario, initial
+/// budget and mix. Each artifact module exports its one `SPEC`, which its
+/// runner, `repro explain` and the oracle tests all read.
+#[derive(Debug, Clone, Copy)]
+pub struct ScnArtifactSpec {
+    /// Artifact id (`scn_capstep`, …).
+    pub id: &'static str,
+    /// The checked-in default scenario JSON (compile-time embedded).
+    pub scenario_json: &'static str,
+    /// Budget fraction in force at epoch 0.
+    pub initial_budget: f64,
+    /// Workload mix the artifact runs.
+    pub mix: &'static str,
 }
 
 /// Resolves the scenario an `scn_*` artifact runs: the `--scenario` file
@@ -396,30 +335,6 @@ mod tests {
         let f = Opts::default();
         assert!(q.epochs() < f.epochs());
         assert!(q.dilation() > f.dilation());
-    }
-
-    #[test]
-    fn policy_kinds_build() {
-        for kind in [
-            PolicyKind::FastCap,
-            PolicyKind::CpuOnly,
-            PolicyKind::FreqPar,
-            PolicyKind::EqlPwr,
-            PolicyKind::EqlFreq,
-            PolicyKind::MaxBipsBeam,
-        ] {
-            let cfg = synthetic_controller_config(16, 0.6).unwrap();
-            assert!(kind.build(cfg).is_ok(), "{}", kind.name());
-        }
-        // MaxBIPS rejects 16 cores but accepts 4; the beam variant covers
-        // 16 cores in the scenario comparison set.
-        assert!(PolicyKind::MaxBips
-            .build(synthetic_controller_config(16, 0.6).unwrap())
-            .is_err());
-        assert!(PolicyKind::MaxBips
-            .build(synthetic_controller_config(4, 0.6).unwrap())
-            .is_ok());
-        assert!(PolicyKind::SCENARIO_SET.contains(&PolicyKind::MaxBipsBeam));
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! invariant set (budget-after-settle, conservation, offline gating,
 //! degradation bounds) on the raw runs.
 
-use fastcap_bench::experiments;
-use fastcap_bench::harness::{resolve_scenario, run_scenario, Opts, PolicyKind};
+use fastcap_bench::experiments::{self, scn_capstep, scn_flashcrowd, scn_hotplug};
+use fastcap_bench::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
 use fastcap_scenario::{oracle, ScenarioRunner};
-use std::path::Path;
 
 #[test]
 fn all_artifacts_are_table_oracle_green() {
@@ -48,31 +47,29 @@ fn all_artifacts_are_table_oracle_green() {
 
 #[test]
 fn checked_in_scenarios_run_oracle_green_under_fastcap() {
-    let scenarios_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let opts = Opts {
         quick: true,
         seed: 42,
         ..Opts::default()
     };
     let cfg = opts.sim_config(16).unwrap();
-    // (file, initial budget) as the scn_* artifacts run them.
-    for (file, budget) in [
-        ("scn_capstep.json", 0.9),
-        ("scn_flashcrowd.json", 0.6),
-        ("scn_hotplug.json", 0.6),
-        ("scn_diurnal_churn.json", 0.7),
+    // The scn_* artifacts as they run, plus the diurnal-churn scenario
+    // no artifact runs.
+    let diurnal = ScnArtifactSpec {
+        id: "scn_diurnal_churn",
+        scenario_json: include_str!("../../../scenarios/scn_diurnal_churn.json"),
+        initial_budget: 0.7,
+        mix: "MID3",
+    };
+    for spec in [
+        scn_capstep::SPEC,
+        scn_flashcrowd::SPEC,
+        scn_hotplug::SPEC,
+        diurnal,
     ] {
-        let path = scenarios_dir.join(file);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let scenario = resolve_scenario(&opts, &text).unwrap();
-        let runner = ScenarioRunner::new(&scenario, budget).unwrap();
-        let mix = match file {
-            "scn_capstep.json" => "MID1",
-            "scn_flashcrowd.json" => "MIX2",
-            "scn_hotplug.json" => "MIX3",
-            _ => "MID3",
-        };
-        let mix = fastcap_workloads::mixes::by_name(mix).unwrap();
+        let scenario = resolve_scenario(&opts, spec.scenario_json).unwrap();
+        let runner = ScenarioRunner::new(&scenario, spec.initial_budget).unwrap();
+        let mix = fastcap_workloads::mixes::by_name(spec.mix).unwrap();
         let epochs = opts.epochs();
         let base = run_scenario(&cfg, &mix, None, &runner, epochs, 7).unwrap();
         let capped =
@@ -84,7 +81,7 @@ fn checked_in_scenarios_run_oracle_green_under_fastcap() {
             Some(&base),
             &oracle::OracleConfig::default(),
         );
-        assert!(report.is_green(), "{file}: {:?}", report.violations);
+        assert!(report.is_green(), "{}: {:?}", spec.id, report.violations);
     }
 }
 

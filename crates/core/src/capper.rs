@@ -280,24 +280,6 @@ impl FastCapConfigBuilder {
         self
     }
 
-    /// Enables or disables quantize-down rounding of budget-bound optima
-    /// (on by default; off reproduces the pre-PR-10 nearest-level bias,
-    /// kept for the `bias_ablation` artifact).
-    #[must_use]
-    pub fn quantize_down(mut self, on: bool) -> Self {
-        self.cfg.quantize_down = on;
-        self
-    }
-
-    /// Sets the slack-feedback integrator gain and anti-windup clamp
-    /// fraction (gain 0 disables the integrator).
-    #[must_use]
-    pub fn slack_feedback(mut self, gain: f64, clamp: f64) -> Self {
-        self.cfg.slack_gain = gain;
-        self.cfg.slack_clamp = clamp;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -1170,12 +1152,12 @@ mod tests {
         let carried: Vec<Option<usize>> = (0..16).map(Some).collect();
         assert_eq!(ctl.warm_carry(&carried).unwrap().budget_trim().get(), 0.0);
         // Disabled integrator never trims.
-        let cfg = FastCapConfig::builder(16)
+        let mut cfg = FastCapConfig::builder(16)
             .budget_fraction(0.6)
             .peak_power(Watts(120.0))
-            .slack_feedback(0.0, 0.05)
             .build()
             .unwrap();
+        cfg.slack_gain = 0.0;
         let mut off = FastCapController::new(cfg).unwrap();
         off.decide(&obs).unwrap();
         assert_eq!(off.budget_trim().get(), 0.0);

@@ -38,9 +38,7 @@ pub mod tree;
 pub mod waterfill;
 
 pub use model::{report_bips, ModelTier, ServerEpoch, ServerModel};
-pub use tiers::{
-    build_policy, AnalyticModel, DesModel, ResponseSurface, SampledModel, SURFACE_GRID,
-};
+pub use tiers::{AnalyticModel, DesModel, ResponseSurface, SampledModel, SURFACE_GRID};
 pub use tree::{
     canonical_tree, Fleet, FleetEpoch, FleetRun, LeafSpec, LeafTrace, Node, TreeSpec,
     DEMAND_HEADROOM, MIN_FRACTION,

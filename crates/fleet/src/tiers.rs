@@ -14,37 +14,10 @@
 use crate::model::{report_bips, ModelTier, ServerEpoch, ServerModel};
 use fastcap_core::error::{Error, Result};
 use fastcap_core::units::Watts;
-use fastcap_policies::{CappingPolicy, ClosedLoop, CpuOnlyPolicy, FastCapPolicy, FreqParPolicy};
+use fastcap_policies::{ClosedLoop, PolicyKind};
 use fastcap_sim::{AnalyticServer, EpochBackend, RunResult, Server, SimConfig};
 use fastcap_workloads::WorkloadSpec;
 use std::sync::Arc;
-
-/// Builds a per-server capping policy by name (`FastCap`, `Freq-Par`,
-/// `CPUOnly`) against `cfg` at `fraction` of peak — the fleet-side subset
-/// of the bench harness's policy registry.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] for an unknown name and propagates
-/// controller-config validation.
-pub fn build_policy(
-    cfg: &SimConfig,
-    policy: &str,
-    fraction: f64,
-) -> Result<Box<dyn CappingPolicy>> {
-    let ctl = cfg.controller_config(fraction)?;
-    Ok(match policy {
-        "FastCap" => Box::new(FastCapPolicy::new(ctl)?),
-        "Freq-Par" => Box::new(FreqParPolicy::new(ctl)?),
-        "CPUOnly" => Box::new(CpuOnlyPolicy::new(ctl)?),
-        other => {
-            return Err(Error::InvalidConfig {
-                what: "fleet policy",
-                why: format!("unknown policy `{other}` (FastCap, Freq-Par, CPUOnly)"),
-            })
-        }
-    })
-}
 
 /// The exact rung: a capping policy driving the full DES engine. Used at
 /// the tree root of accuracy evaluations and for spot-check replays; also
@@ -70,7 +43,7 @@ impl DesModel {
         fraction: f64,
         seed: u64,
     ) -> Result<Self> {
-        let p = build_policy(&cfg, policy, fraction)?;
+        let p = PolicyKind::parse(policy)?.build(cfg.controller_config(fraction)?)?;
         let server = Server::for_workload(cfg, mix, seed)?;
         Ok(Self {
             inner: ClosedLoop::new(server, p),
@@ -154,7 +127,7 @@ impl AnalyticModel {
         fraction: f64,
         seed: u64,
     ) -> Result<Self> {
-        let p = build_policy(&cfg, policy, fraction)?;
+        let p = PolicyKind::parse(policy)?.build(cfg.controller_config(fraction)?)?;
         let server = AnalyticServer::for_workload(cfg, mix, seed)?;
         Ok(Self {
             inner: ClosedLoop::new(server, p),
@@ -241,7 +214,7 @@ impl ResponseSurface {
         skip: usize,
         seed: u64,
     ) -> Result<(f64, f64)> {
-        let policy = build_policy(cfg, "FastCap", fraction)?;
+        let policy = PolicyKind::FastCap.build(cfg.controller_config(fraction)?)?;
         let server = Server::for_workload(cfg.clone(), mix, seed)?;
         let run = ClosedLoop::new(server, policy).run(epochs);
         let power = run.avg_power(skip).get();
@@ -395,15 +368,6 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::ispass(4).unwrap().with_time_dilation(200.0)
-    }
-
-    #[test]
-    fn policy_registry_and_validation() {
-        assert!(build_policy(&cfg(), "FastCap", 0.6).is_ok());
-        assert!(build_policy(&cfg(), "Freq-Par", 0.6).is_ok());
-        assert!(build_policy(&cfg(), "CPUOnly", 0.6).is_ok());
-        assert!(build_policy(&cfg(), "NoSuch", 0.6).is_err());
-        assert!(build_policy(&cfg(), "FastCap", 0.0).is_err());
     }
 
     #[test]

@@ -126,7 +126,8 @@ pub struct LeafSpec {
     pub mix: String,
     /// Core count of the server platform.
     pub n_cores: usize,
-    /// Capping policy name (resolved by [`crate::tiers::build_policy`]).
+    /// Capping policy name (resolved by
+    /// [`fastcap_policies::PolicyKind::parse`]).
     pub policy: String,
 }
 
@@ -763,8 +764,8 @@ impl<M: ServerModel> Fleet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiers::{build_policy, AnalyticModel};
-    use fastcap_policies::ClosedLoop;
+    use crate::tiers::AnalyticModel;
+    use fastcap_policies::{ClosedLoop, PolicyKind};
     use fastcap_scenario::FleetEvent;
     use fastcap_sim::{AnalyticServer, SimConfig};
     use fastcap_workloads::mixes;
@@ -833,7 +834,9 @@ mod tests {
         assert!(run.violations.is_empty(), "{:?}", run.violations);
 
         let mix = mixes::by_name("MEM2").unwrap();
-        let policy = build_policy(&cfg(), "FastCap", 0.6).unwrap();
+        let policy = PolicyKind::FastCap
+            .build(cfg().controller_config(0.6).unwrap())
+            .unwrap();
         let server = AnalyticServer::for_workload(cfg(), &mix, derive_seed(42, 0)).unwrap();
         let standalone = ClosedLoop::new(server, policy).run(8);
         for (e, report) in run.epochs.iter().zip(&standalone.epochs) {

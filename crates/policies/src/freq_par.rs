@@ -143,6 +143,24 @@ impl CappingPolicy for FreqParPolicy {
         Ok(())
     }
 
+    fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
+        // The feedback state is one machine-wide quota with no per-core
+        // model to carry: re-scope to the new core count and restart the
+        // quota there, exactly as a policy built for that count would.
+        if let Some(i) = carried.iter().flatten().find(|&&i| i >= self.cfg.n_cores) {
+            return Err(Error::InvalidConfig {
+                what: "warm_carry",
+                why: format!(
+                    "carried core {i} out of range for {} previous cores",
+                    self.cfg.n_cores
+                ),
+            });
+        }
+        self.cfg = self.cfg.with_n_cores(carried.len())?;
+        self.quota = self.cfg.n_cores as f64;
+        Ok(true)
+    }
+
     fn decision_cost(&self) -> CostCounter {
         self.cost
     }
@@ -225,6 +243,33 @@ mod tests {
             d.core_freqs[0] > d.core_freqs[1],
             "efficient core must win: {:?}",
             &d.core_freqs[..2]
+        );
+    }
+
+    #[test]
+    fn hotplug_rescopes_like_a_fresh_policy() {
+        let cfg = cfg_16(0.6);
+        let mut p = FreqParPolicy::new(cfg.clone()).unwrap();
+        // Bad carry maps leave the 16-core policy unchanged.
+        assert!(p.on_active_set_change(&[]).is_err());
+        assert!(p.on_active_set_change(&[Some(0), Some(16)]).is_err());
+        let mut obs = obs_16();
+        obs.total_power = Watts(110.0);
+        p.decide(&obs).unwrap();
+        assert!(p.quota() < 16.0);
+        let spent = p.decision_cost();
+        // Cores 0-3 go offline: the quota restarts at the 12 survivors.
+        let carried: Vec<Option<usize>> = (4..16).map(Some).collect();
+        assert!(p.on_active_set_change(&carried).unwrap());
+        assert_eq!(p.quota(), 12.0);
+        let mut fresh = FreqParPolicy::new(cfg.with_n_cores(12).unwrap()).unwrap();
+        obs.cores.truncate(12);
+        assert_eq!(p.decide(&obs).unwrap(), fresh.decide(&obs).unwrap());
+        assert_eq!(p.quota(), fresh.quota());
+        // The cost counter keeps counting across the carry.
+        assert_eq!(
+            p.decision_cost().grid_points,
+            spent.grid_points + fresh.decision_cost().grid_points
         );
     }
 

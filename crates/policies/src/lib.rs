@@ -20,7 +20,8 @@
 //! [`ModelPredictive`] over its [`Search`]: the skeleton owns FastCap's
 //! controller and writes the observe → model → search sequence, the
 //! cold-start bootstrap, budget moves and warm-carry hotplug once, so the
-//! six differ in their search alone.
+//! six differ in their search alone. [`PolicyKind`] is the one registry
+//! of names and constructors every caller builds a policy through.
 //!
 //! All policies consume the same hardware-counter observations
 //! ([`fastcap_core::counters::EpochObservation`]) and emit the same
@@ -49,6 +50,7 @@ mod freq_par;
 mod maxbips;
 mod model_predictive;
 mod policy;
+mod registry;
 
 pub use closed_loop::{trace_epoch, ClosedLoop};
 pub use cpu_only::{CpuOnlyPolicy, PinnedMemory};
@@ -58,7 +60,8 @@ pub use fastcap::{Algorithm1, FastCapPolicy};
 pub use freq_par::FreqParPolicy;
 pub use maxbips::{Beam, Exhaustive, MaxBipsBeamPolicy, MaxBipsPolicy};
 pub use model_predictive::{ModelPredictive, Search};
-pub use policy::{CappingPolicy, UncappedPolicy};
+pub use policy::CappingPolicy;
+pub use registry::PolicyKind;
 
 #[cfg(test)]
 mod tests {
@@ -132,19 +135,18 @@ mod tests {
         )
     }
 
+    /// Every 16-core policy of the registry, capped at 60 %.
+    fn scenario_set_16() -> Vec<Box<dyn CappingPolicy>> {
+        PolicyKind::SCENARIO_SET
+            .iter()
+            .map(|k| k.build(cfg_16(0.6)).unwrap())
+            .collect()
+    }
+
     #[test]
     fn every_policy_emits_valid_decisions() {
         let obs = obs_16();
-        let mut policies: Vec<Box<dyn CappingPolicy>> = vec![
-            Box::new(FastCapPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(CpuOnlyPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(FreqParPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(EqlPwrPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(EqlFreqPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(MaxBipsBeamPolicy::new(cfg_16(0.6)).unwrap()),
-            Box::new(UncappedPolicy::new(10, 10)),
-        ];
-        for p in &mut policies {
+        for p in &mut scenario_set_16() {
             let d = p
                 .decide(&obs)
                 .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
@@ -204,18 +206,8 @@ mod tests {
         // counters — the property the modeled timing artifacts stand on —
         // and every capping policy's decision path must count *something*.
         let obs = obs_16();
-        let build = || -> Vec<Box<dyn CappingPolicy>> {
-            vec![
-                Box::new(FastCapPolicy::new(cfg_16(0.6)).unwrap()),
-                Box::new(CpuOnlyPolicy::new(cfg_16(0.6)).unwrap()),
-                Box::new(FreqParPolicy::new(cfg_16(0.6)).unwrap()),
-                Box::new(EqlPwrPolicy::new(cfg_16(0.6)).unwrap()),
-                Box::new(EqlFreqPolicy::new(cfg_16(0.6)).unwrap()),
-                Box::new(MaxBipsBeamPolicy::new(cfg_16(0.6)).unwrap()),
-            ]
-        };
         let run = || {
-            build()
+            scenario_set_16()
                 .iter_mut()
                 .map(|p| {
                     for _ in 0..3 {
@@ -231,23 +223,12 @@ mod tests {
         for (name, cost) in &a {
             assert!(!cost.is_zero(), "{name} counted nothing");
         }
-        // Uncapped has no decision path worth modelling: all zeros.
-        let mut un = UncappedPolicy::new(10, 10);
-        un.decide(&obs).unwrap();
-        assert!(un.decision_cost().is_zero());
     }
 
     #[test]
     fn policy_names_are_distinct() {
-        let names = [
-            FastCapPolicy::new(cfg_16(0.6)).unwrap().name(),
-            CpuOnlyPolicy::new(cfg_16(0.6)).unwrap().name(),
-            FreqParPolicy::new(cfg_16(0.6)).unwrap().name(),
-            EqlPwrPolicy::new(cfg_16(0.6)).unwrap().name(),
-            EqlFreqPolicy::new(cfg_16(0.6)).unwrap().name(),
-            MaxBipsPolicy::new(cfg_4(0.6)).unwrap().name(),
-            MaxBipsBeamPolicy::new(cfg_16(0.6)).unwrap().name(),
-        ];
+        let mut names: Vec<&str> = scenario_set_16().iter().map(|p| p.name()).collect();
+        names.push(PolicyKind::MaxBips.build(cfg_4(0.6)).unwrap().name());
         let mut unique = names.to_vec();
         unique.sort();
         unique.dedup();

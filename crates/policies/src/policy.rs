@@ -25,7 +25,7 @@ pub trait CappingPolicy {
     /// A cold-start decision for epoch 0, before any observation exists.
     /// Model-predictive policies solve it from their configured initial
     /// power laws, so the very first epoch already runs under the cap.
-    /// The default — for feedback-only and non-capping policies — is
+    /// The default — for feedback-only policies like Freq-Par — is
     /// `None`, and the backend runs the first epoch at maximum
     /// frequencies.
     fn bootstrap(&mut self) -> Option<DvfsDecision> {
@@ -47,104 +47,30 @@ pub trait CappingPolicy {
     /// Applies a mid-run active-core-set change (scenario hotplug) by
     /// **warm-carrying** learned state: `carried[j]` names the policy's
     /// previous core index that new core `j` corresponds to, or `None` for
-    /// a core with no prior state (it starts cold). Policies that support
-    /// this keep the surviving cores' fitted models, so the hotplug
-    /// transient isolates budget re-allocation rather than re-fitting.
+    /// a core with no prior state (it starts cold). Model-predictive
+    /// policies keep the surviving cores' fitted models, so the hotplug
+    /// transient isolates budget re-allocation rather than re-fitting;
+    /// Freq-Par re-scopes its machine-wide quota to the new core count.
     ///
-    /// The default returns `Ok(false)`: the policy does not support warm
-    /// carry and the caller must rebuild it from scratch (the scenario
-    /// runner's rebuild path).
+    /// Returns whether the policy now models the new set. Every policy in
+    /// this crate answers `true`; the scenario runner rejects a `false`
+    /// with an error naming the policy.
     ///
     /// # Errors
     ///
     /// Returns [`fastcap_core::error::Error`] for an empty or out-of-range
     /// carry map; the policy must be left unchanged.
-    fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
-        let _ = carried;
-        Ok(false)
-    }
+    fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool>;
 
     /// Cumulative deterministic operation counts along this policy's
     /// decision path (solver iterations, grid points, quantizations, …).
     /// The counts are exact functions of the observations fed in — no wall
     /// clock — which is what the modeled-latency timing artifacts multiply
-    /// by the checked-in `COST_MODEL.json` weights. The default (for
-    /// policies with no decision cost worth modelling, like Uncapped)
-    /// reports all zeros.
-    fn decision_cost(&self) -> CostCounter {
-        CostCounter::default()
-    }
+    /// by the checked-in `COST_MODEL.json` weights.
+    fn decision_cost(&self) -> CostCounter;
 
-    /// The absolute power budget currently in force, if this policy is
-    /// capping. The tracing layer reads this into every decision audit
-    /// record (the "what cap was it solving against" column of `repro
-    /// explain`); the default — for non-capping policies like Uncapped —
-    /// is `None`.
-    fn in_force_budget(&self) -> Option<Watts> {
-        None
-    }
-}
-
-/// The no-op baseline: always run at maximum frequencies (used to measure
-/// peak power and baseline performance).
-#[derive(Debug, Clone)]
-pub struct UncappedPolicy {
-    core_levels: usize,
-    mem_levels: usize,
-}
-
-impl UncappedPolicy {
-    /// Creates the policy for ladders with the given level counts.
-    pub fn new(core_levels: usize, mem_levels: usize) -> Self {
-        Self {
-            core_levels: core_levels.max(1),
-            mem_levels: mem_levels.max(1),
-        }
-    }
-}
-
-impl CappingPolicy for UncappedPolicy {
-    fn name(&self) -> &'static str {
-        "Uncapped"
-    }
-
-    fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
-        Ok(DvfsDecision {
-            core_freqs: vec![self.core_levels - 1; obs.cores.len()],
-            mem_freq: self.mem_levels - 1,
-            predicted_power: Watts::ZERO,
-            quantized_power: Watts::ZERO,
-            budget_trim: Watts::ZERO,
-            degradation: 1.0,
-            budget_bound: false,
-            emergency: false,
-        })
-    }
-
-    fn on_budget_change(&mut self, _fraction: f64) -> Result<()> {
-        Ok(()) // uncapped: there is no budget to move
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tests::obs_16;
-
-    #[test]
-    fn uncapped_always_max() {
-        let mut p = UncappedPolicy::new(10, 10);
-        let d = p.decide(&obs_16()).unwrap();
-        assert!(d.core_freqs.iter().all(|&i| i == 9));
-        assert_eq!(d.mem_freq, 9);
-        assert!((d.degradation - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uncapped_clamps_level_counts() {
-        let mut p = UncappedPolicy::new(0, 0);
-        let d = p.decide(&obs_16()).unwrap();
-        assert!(d.core_freqs.iter().all(|&i| i == 0));
-        assert_eq!(d.mem_freq, 0);
-    }
+    /// The absolute power budget currently in force, if any. The tracing
+    /// layer reads this into every decision audit record (the "what cap was it
+    /// solving against" column of `repro explain`).
+    fn in_force_budget(&self) -> Option<Watts>;
 }

@@ -18,8 +18,8 @@
 //! * **core hotplug** — cores vanishing and reappearing
 //!   (`cores_offline` / `cores_online`): every model-predictive policy
 //!   warm-carries the surviving cores' fitted models onto the new online
-//!   set, so the transient isolates allocation, and a policy that
-//!   declines (Freq-Par) is rebuilt for it by the factory.
+//!   set, so the transient isolates allocation, and Freq-Par re-scopes
+//!   its feedback quota to it. The policy is built once per run.
 //!
 //! Beyond hand-written files, [`generate`] samples scenarios from a
 //! seeded composable motif grammar (deterministic and lint-clean by

@@ -14,17 +14,19 @@
 //!
 //! ## Hotplug and the policy
 //!
-//! Budget moves go through [`CappingPolicy::on_budget_change`]: learned
-//! state survives and the next decision re-solves against the new cap.
-//! Active-set changes go through [`CappingPolicy::on_active_set_change`]:
-//! every model-predictive policy warm-carries its surviving cores' fitted
-//! power models onto the new online set (newcomers start from the initial
-//! laws), so the transient isolates budget re-allocation. A policy that
-//! declines — Freq-Par, whose feedback state has no per-core model — is
-//! rebuilt by the factory for the new online core count. Observations
-//! are projected onto the online cores before each decision and the
-//! decision is scattered back (offline cores pinned to the lowest
-//! frequency; the simulator power-gates them regardless).
+//! The policy is built once, before epoch 0, and re-shapes itself after
+//! that. Budget moves go through [`CappingPolicy::on_budget_change`]:
+//! learned state survives and the next decision re-solves against the new
+//! cap. Active-set changes go through
+//! [`CappingPolicy::on_active_set_change`]: every model-predictive policy
+//! warm-carries its surviving cores' fitted power models onto the new
+//! online set (newcomers start from the initial laws), so the transient
+//! isolates budget re-allocation; Freq-Par, whose feedback state has no
+//! per-core model, re-scopes its quota to the new online core count. A
+//! policy that declines the change fails the run. Observations are
+//! projected onto the online cores before each decision and the decision
+//! is scattered back (offline cores pinned to the lowest frequency; the
+//! simulator power-gates them regardless).
 
 use crate::format::{Action, Scenario};
 use fastcap_core::capper::DvfsDecision;
@@ -37,8 +39,8 @@ use fastcap_trace::{TraceEvent, Tracer};
 use fastcap_workloads::{spec, AppInstance, PhaseSpec};
 
 /// Builds a policy for `n_active` online cores under `budget_fraction`.
-/// Called once up front and again on each active-set change the policy
-/// declines to warm-carry.
+/// The runner calls it once, before epoch 0, with the full core count and
+/// the initial budget.
 pub type PolicyFactory<'a> = dyn FnMut(usize, f64) -> Result<Box<dyn CappingPolicy>> + 'a;
 
 /// A compiled scenario, ready to install on a server and run.
@@ -296,14 +298,16 @@ impl ScenarioRunner {
     }
 
     /// Runs `epochs` epochs of the scenario on an installed server.
-    /// `factory` builds the capping policy (and rebuilds it on a hotplug
-    /// it declines to warm-carry); `None` runs the uncapped baseline
-    /// (maximum frequencies) under the same scenario perturbations.
+    /// `factory` builds the capping policy once, before epoch 0; `None`
+    /// runs the uncapped baseline (maximum frequencies) under the same
+    /// scenario perturbations.
     ///
     /// # Errors
     ///
-    /// Propagates policy construction/decision failures and budget-change
-    /// rejections.
+    /// Propagates policy construction/decision failures and budget- and
+    /// active-set-change rejections, and returns
+    /// [`Error::InvalidConfig`] naming the policy when it declines an
+    /// active-set change.
     pub fn run(
         &self,
         server: &mut Server,
@@ -325,13 +329,12 @@ impl ScenarioRunner {
     ///
     /// # Errors
     ///
-    /// Propagates policy construction/decision failures and budget-change
-    /// rejections, exactly as [`ScenarioRunner::run`].
+    /// Fails exactly as [`ScenarioRunner::run`].
     pub fn run_traced(
         &self,
         server: &mut Server,
         epochs: usize,
-        mut factory: Option<&mut PolicyFactory<'_>>,
+        factory: Option<&mut PolicyFactory<'_>>,
         mut trace: Option<&mut Tracer>,
     ) -> Result<RunResult> {
         let n = server.config().n_cores;
@@ -346,16 +349,15 @@ impl ScenarioRunner {
         }
         let mut budget = self.initial_budget;
         let mut mask = vec![true; n];
-        let mut policy = match factory.as_mut() {
+        let mut policy = match factory {
             Some(f) => Some(f(n, budget)?),
             None => None,
         };
         let mut bi = 0;
         let mut mi = 0;
         let mut reports = Vec::with_capacity(epochs);
-        // Cost snapshots for the modeled trace clock: the clock advances by
-        // the *delta* each epoch adds, so it stays monotonic across policy
-        // rebuilds (which zero the policy-side counter).
+        // Cost snapshots for the modeled trace clock, which advances by
+        // the delta each epoch adds to the server and policy counters.
         let mut server_cost = server.cost();
         let mut policy_cost = policy
             .as_ref()
@@ -393,18 +395,19 @@ impl ScenarioRunner {
                     t.metrics.counter_add("scenario.hotplug_moves", 1);
                 }
             }
-            if let (Some(f), Some(p)) = (factory.as_mut(), policy.as_mut()) {
+            if let Some(p) = policy.as_mut() {
                 if mask_changed && !p.on_active_set_change(&carry_map(&prev_mask, &mask))? {
-                    // The policy declined warm carry: rebuild it for the
-                    // new online set. The rebuilt policy's counter
-                    // restarts at zero, so the trace-clock snapshot must
-                    // too.
-                    let active = mask.iter().filter(|&&a| a).count();
-                    policy = Some(f(active, budget)?);
-                    policy_cost = CostCounter::default();
-                } else if budget_changed {
-                    // Also after a warm carry: a same-epoch budget move
-                    // still applies.
+                    return Err(Error::InvalidConfig {
+                        what: "scenario",
+                        why: format!(
+                            "policy {} declined the active-set change at epoch {e}",
+                            p.name()
+                        ),
+                    });
+                }
+                // After the carry: a same-epoch budget move applies to the
+                // re-shaped policy.
+                if budget_changed {
                     p.on_budget_change(budget)?;
                 }
             }
@@ -524,9 +527,12 @@ fn scatter(d: DvfsDecision, mask: &[bool]) -> DvfsDecision {
 mod tests {
     use super::*;
     use crate::format::ScenarioEvent;
-    use fastcap_policies::FastCapPolicy;
+    use fastcap_core::units::Watts;
+    use fastcap_policies::{FastCapPolicy, FreqParPolicy};
     use fastcap_sim::SimConfig;
     use fastcap_workloads::mixes;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn quick_cfg(n: usize) -> SimConfig {
         SimConfig::ispass(n)
@@ -539,32 +545,77 @@ mod tests {
         Server::for_workload(quick_cfg(16), &mixes::by_name(mix).unwrap(), seed).unwrap()
     }
 
-    /// FastCap that declines warm carry, so the runner must rebuild it on
-    /// every active-set change: the factory-rebuild path under test.
-    struct Rebuilt(FastCapPolicy);
+    /// FastCap that drops its fitted models on every active-set change:
+    /// it rebuilds a fresh controller for the new online set, the cold
+    /// transient the warm carry is compared against. Each rebuild's core
+    /// count goes to `rebuilds`.
+    struct Rebuilt {
+        inner: FastCapPolicy,
+        cfg: SimConfig,
+        budget: f64,
+        rebuilds: Rc<RefCell<Vec<usize>>>,
+    }
 
     impl CappingPolicy for Rebuilt {
         fn name(&self) -> &'static str {
-            self.0.name()
+            self.inner.name()
+        }
+
+        fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
+            self.inner.decide(obs)
+        }
+
+        fn bootstrap(&mut self) -> Option<DvfsDecision> {
+            self.inner.bootstrap()
+        }
+
+        fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
+            self.inner.on_budget_change(fraction)?;
+            self.budget = fraction;
+            Ok(())
+        }
+
+        fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
+            let ctl = self.cfg.controller_config_n(self.budget, carried.len())?;
+            self.inner = FastCapPolicy::new(ctl)?;
+            self.rebuilds.borrow_mut().push(carried.len());
+            Ok(true)
+        }
+
+        fn decision_cost(&self) -> CostCounter {
+            self.inner.decision_cost()
+        }
+
+        fn in_force_budget(&self) -> Option<Watts> {
+            self.inner.in_force_budget()
+        }
+    }
+
+    /// Freq-Par that declines every active-set change.
+    struct Declines(FreqParPolicy);
+
+    impl CappingPolicy for Declines {
+        fn name(&self) -> &'static str {
+            "Declines"
         }
 
         fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
             self.0.decide(obs)
         }
 
-        fn bootstrap(&mut self) -> Option<DvfsDecision> {
-            self.0.bootstrap()
-        }
-
         fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
             self.0.on_budget_change(fraction)
+        }
+
+        fn on_active_set_change(&mut self, _carried: &[Option<usize>]) -> Result<bool> {
+            Ok(false)
         }
 
         fn decision_cost(&self) -> CostCounter {
             self.0.decision_cost()
         }
 
-        fn in_force_budget(&self) -> Option<fastcap_core::units::Watts> {
+        fn in_force_budget(&self) -> Option<Watts> {
             self.0.in_force_budget()
         }
     }
@@ -690,19 +741,26 @@ mod tests {
                 },
             },
         ]);
-        // A policy that declines warm carry: this test pins the
-        // factory-rebuild path.
+        // A policy that rebuilds itself cold at each active-set change:
+        // this test pins the cold re-allocation path.
         let runner = ScenarioRunner::new(&s, 0.6).unwrap();
-        let mut rebuilds = Vec::new();
+        let mut builds = Vec::new();
+        let rebuilds = Rc::new(RefCell::new(Vec::new()));
         let mut factory = |n_active: usize, budget: f64| {
-            rebuilds.push(n_active);
+            builds.push(n_active);
             let ctl = cfg.controller_config_n(budget, n_active)?;
-            Ok(Box::new(Rebuilt(FastCapPolicy::new(ctl)?)) as Box<dyn CappingPolicy>)
+            Ok(Box::new(Rebuilt {
+                inner: FastCapPolicy::new(ctl)?,
+                cfg: cfg.clone(),
+                budget,
+                rebuilds: Rc::clone(&rebuilds),
+            }) as Box<dyn CappingPolicy>)
         };
         let mut srv = server("MID1", 7);
         runner.install(&mut srv).unwrap();
         let r = runner.run(&mut srv, 20, Some(&mut factory)).unwrap();
-        assert_eq!(rebuilds, vec![16, 12, 16], "initial + two hotplug rebuilds");
+        assert_eq!(builds, vec![16], "the factory builds once, before epoch 0");
+        assert_eq!(*rebuilds.borrow(), vec![12, 16], "two hotplug rebuilds");
         // Offline window: cores 0-3 are gated, decisions still apply to
         // the remaining 12.
         assert_eq!(r.epochs[10].core_power[2], fastcap_core::units::Watts::ZERO);
@@ -744,10 +802,10 @@ mod tests {
     #[test]
     fn warm_hotplug_carries_models_instead_of_rebuilding() {
         // The warm-carry pin: through an offline/online cycle the policy
-        // is built exactly once, the pre-event epochs match the rebuild
-        // path byte for byte, and the transient isolates *allocation* —
-        // the carried models keep capping tightly where the rebuilt
-        // controller must re-fit from its initial laws first.
+        // never rebuilds, the pre-event epochs match the rebuild path byte
+        // for byte, and the transient isolates *allocation* — the carried
+        // models keep capping tightly where the rebuilt controller must
+        // re-fit from its initial laws first.
         let cfg = quick_cfg(16);
         let s = scenario(vec![
             ScenarioEvent {
@@ -766,24 +824,32 @@ mod tests {
         let run_with = |warm: bool| {
             let runner = ScenarioRunner::new(&s, 0.6).unwrap();
             let mut builds = Vec::new();
+            let rebuilds = Rc::new(RefCell::new(Vec::new()));
             let mut factory = |n_active: usize, budget: f64| {
                 builds.push(n_active);
                 let p = FastCapPolicy::new(cfg.controller_config_n(budget, n_active)?)?;
                 Ok(if warm {
                     Box::new(p) as Box<dyn CappingPolicy>
                 } else {
-                    Box::new(Rebuilt(p))
+                    Box::new(Rebuilt {
+                        inner: p,
+                        cfg: cfg.clone(),
+                        budget,
+                        rebuilds: Rc::clone(&rebuilds),
+                    })
                 })
             };
             let mut srv = server("MID1", 7);
             runner.install(&mut srv).unwrap();
             let r = runner.run(&mut srv, 24, Some(&mut factory)).unwrap();
-            (r, builds)
+            assert_eq!(builds, vec![16], "the factory builds once, before epoch 0");
+            let rebuilt = rebuilds.borrow().clone();
+            (r, rebuilt)
         };
         let (r_warm, b_warm) = run_with(true);
         let (r_rebuild, b_rebuild) = run_with(false);
-        assert_eq!(b_rebuild, vec![16, 12, 16], "rebuild path unchanged");
-        assert_eq!(b_warm, vec![16], "warm carry never rebuilds");
+        assert_eq!(b_rebuild, vec![12, 16], "rebuild path unchanged");
+        assert!(b_warm.is_empty(), "warm carry never rebuilds");
         for e in 0..6 {
             assert_eq!(
                 r_warm.epochs[e], r_rebuild.epochs[e],
@@ -810,6 +876,114 @@ mod tests {
             "warm {} vs rebuild {}",
             worst(&r_warm),
             worst(&r_rebuild)
+        );
+    }
+
+    /// Hotplug and budget moves on the same epochs, which no checked-in
+    /// scenario has.
+    const SAME_EPOCH: &str = r#"{"name":"same_epoch","description":"hotplug and budget moves on the same epochs","n_cores":16,"events":[
+     {"at_epoch":10,"action":{"kind":"cores_offline","cores":[0,1,2,3]}},
+     {"at_epoch":10,"action":{"kind":"budget_step","fraction":0.5}},
+     {"at_epoch":20,"action":{"kind":"cores_online","cores":[0,1,2,3]}},
+     {"at_epoch":20,"action":{"kind":"budget_step","fraction":0.75}},
+     {"at_epoch":28,"action":{"kind":"cores_offline","cores":[5,9]}},
+     {"at_epoch":28,"action":{"kind":"budget_ramp","to_fraction":0.55,"over_epochs":4}}]}"#;
+
+    /// The runner's epoch loop as it stood when a policy that declined an
+    /// active-set change was rebuilt by the factory: Freq-Par is rebuilt
+    /// from `controller_config_n(budget, n_active)` at every mask change
+    /// (a same-epoch budget move rides along in the rebuild) and takes
+    /// every other budget move through `on_budget_change`.
+    fn freq_par_rebuild_twin(
+        runner: &ScenarioRunner,
+        cfg: &SimConfig,
+        server: &mut Server,
+        epochs: usize,
+    ) -> RunResult {
+        let build = |budget: f64, n_active: usize| {
+            FreqParPolicy::new(cfg.controller_config_n(budget, n_active).unwrap()).unwrap()
+        };
+        let mut budget = runner.initial_budget;
+        let mut mask = vec![true; runner.n_cores];
+        let mut policy = build(budget, runner.n_cores);
+        let (mut bi, mut mi) = (0, 0);
+        let mut reports = Vec::new();
+        for e in 0..epochs as u64 {
+            let mut mask_changed = false;
+            while mi < runner.mask_schedule.len() && runner.mask_schedule[mi].0 <= e {
+                mask = runner.mask_schedule[mi].1.clone();
+                mi += 1;
+                mask_changed = true;
+            }
+            let mut budget_changed = false;
+            while bi < runner.budget_schedule.len() && runner.budget_schedule[bi].0 <= e {
+                budget = runner.budget_schedule[bi].1;
+                bi += 1;
+                budget_changed = true;
+            }
+            if mask_changed {
+                policy = build(budget, mask.iter().filter(|&&a| a).count());
+            } else if budget_changed {
+                policy.on_budget_change(budget).unwrap();
+            }
+            let decision = match server.observation() {
+                Some(o) => Some(scatter(policy.decide(&project(&o, &mask)).unwrap(), &mask)),
+                None => policy.bootstrap().map(|d| scatter(d, &mask)),
+            };
+            reports.push(server.run_epoch(decision.as_ref()));
+        }
+        RunResult {
+            n_cores: runner.n_cores,
+            sim_epoch_length: cfg.sim_epoch_length(),
+            peak_power: cfg.peak_power,
+            epochs: reports,
+        }
+    }
+
+    #[test]
+    fn freq_par_carry_matches_the_factory_rebuild_twin() {
+        let cfg = quick_cfg(16);
+        let runner = ScenarioRunner::new(&Scenario::from_json(SAME_EPOCH).unwrap(), 0.9).unwrap();
+        for mix in ["MID1", "MIX3"] {
+            for seed in [7, 42] {
+                let mut srv = server(mix, seed);
+                runner.install(&mut srv).unwrap();
+                let mut factory = |n_active: usize, budget: f64| {
+                    let ctl = cfg.controller_config_n(budget, n_active)?;
+                    Ok(Box::new(FreqParPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
+                };
+                let carried = runner.run(&mut srv, 40, Some(&mut factory)).unwrap();
+                let mut srv = server(mix, seed);
+                runner.install(&mut srv).unwrap();
+                let rebuilt = freq_par_rebuild_twin(&runner, &cfg, &mut srv, 40);
+                assert_eq!(carried, rebuilt, "{mix} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_declined_active_set_change_fails_the_run_naming_the_policy() {
+        let cfg = quick_cfg(16);
+        let s = scenario(vec![ScenarioEvent {
+            at_epoch: 6,
+            action: Action::CoresOffline {
+                cores: vec![0, 1, 2, 3],
+            },
+        }]);
+        let runner = ScenarioRunner::new(&s, 0.6).unwrap();
+        let mut factory = |n_active: usize, budget: f64| {
+            let ctl = cfg.controller_config_n(budget, n_active)?;
+            Ok(Box::new(Declines(FreqParPolicy::new(ctl)?)) as Box<dyn CappingPolicy>)
+        };
+        let mut srv = server("MID1", 7);
+        runner.install(&mut srv).unwrap();
+        let err = runner
+            .run(&mut srv, 12, Some(&mut factory))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("policy Declines declined the active-set change at epoch 6"),
+            "{err}"
         );
     }
 

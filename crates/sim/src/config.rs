@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn controller_config_n_keeps_machine_budget() {
-        // Hotplug rebuild: 12 online cores still see the full machine's
+        // After hotplug, 12 online cores still see the full machine's
         // peak power and absolute budget, but less core static power.
         let c = SimConfig::ispass(16).unwrap();
         let full = c.controller_config(0.6).unwrap();

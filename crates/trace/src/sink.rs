@@ -85,9 +85,8 @@ impl RingBuffer {
 /// modeled clock.
 ///
 /// The clock advances only via [`Tracer::advance`], fed with
-/// `CostCounter` *deltas* metered by the run loop. Accumulating deltas
-/// (rather than pricing a cumulative counter) keeps the clock monotonic
-/// across policy rebuilds, whose own counters restart from zero.
+/// `CostCounter` *deltas* metered by the run loop, so each epoch is
+/// priced by what it alone added to the server and policy counters.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     ns_weights: [f64; OPS.len()],
