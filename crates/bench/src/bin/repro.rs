@@ -9,7 +9,6 @@
 //! repro trace <artifact>
 //! repro explain <artifact>
 //! repro calibrate
-//! repro costgate [--jobs N]
 //! repro --list
 //! ```
 //!
@@ -17,9 +16,9 @@
 //! latencies — deterministic operation counts priced by the checked-in
 //! `COST_MODEL.json` weights (DESIGN.md §10) — and are golden-pinned like
 //! every other artifact. `repro calibrate` refits the weights from this
-//! host's wall clock; `repro costgate` re-checks the goldens and the
-//! modeled-cost expectations. Host time is measured by `perfbench`
-//! (`perfbench/`), never by `repro`.
+//! host's wall clock; the tier-1 tests check the pins and the modeled-cost
+//! expectations. Host time is measured by `perfbench` (`perfbench/`),
+//! never by `repro`.
 //!
 //! `--jobs N` shards each experiment's sweep across N worker threads
 //! (default: available parallelism); it is the only thread knob, and each
@@ -68,7 +67,6 @@ fn usage() -> String {
          \x20      repro trace <artifact>\n\
          \x20      repro explain <artifact>\n\
          \x20      repro calibrate\n\
-         \x20      repro costgate [--jobs N]\n\
          artifacts: {}",
         experiments::ALL.join(" ")
     )
@@ -275,38 +273,6 @@ fn calibrate_cmd() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro costgate`: the deterministic timing gate — golden hashes of the
-/// modeled artifacts plus modeled-cost expectations, all host-independent.
-fn costgate_cmd(jobs: usize, inject: u64) -> ExitCode {
-    if inject > 0 {
-        eprintln!("[costgate: injecting {inject} extra solver iteration(s) per solve]");
-        fastcap_core::optimizer::set_injected_solver_iters(inject);
-    }
-    match fastcap_bench::costmodel::cost_gate(jobs) {
-        Ok(failures) if failures.is_empty() => {
-            println!(
-                "[costgate: OK — {} golden artifact(s), {} expectation probe(s)]",
-                fastcap_bench::costmodel::TIMING_GOLDENS.len(),
-                fastcap_bench::costmodel::CostModel::embedded()
-                    .map(|m| m.expectations.len())
-                    .unwrap_or(0)
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(failures) => {
-            for f in &failures {
-                println!("FAIL {f}");
-            }
-            println!("[costgate: {} failure(s)]", failures.len());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("costgate could not run: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut opts = Opts::default();
     let mut targets: Vec<String> = Vec::new();
@@ -316,21 +282,10 @@ fn main() -> ExitCode {
     let mut matrix_count: Option<usize> = None;
     // `--trace FILE` / `repro trace <artifact>`: Chrome-trace output path.
     let mut trace_out: Option<PathBuf> = None;
-    // `repro costgate --inject-solver-iters N`: regression-injection hook
-    // for the gate's own negative test (deliberately not in the usage
-    // text — it exists to prove the gate trips, not for users).
-    let mut inject_solver_iters: u64 = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--inject-solver-iters" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(k) => inject_solver_iters = k,
-                None => {
-                    eprintln!("--inject-solver-iters needs an integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(s) => opts.seed = s,
                 None => {
@@ -446,17 +401,11 @@ fn main() -> ExitCode {
         trace_out.get_or_insert_with(|| opts.out_dir.join(format!("{artifact}.trace.json")));
         targets = vec![artifact];
     }
-    if trace_out.is_some()
-        && ["calibrate", "costgate", "scenario", "matrix"].contains(&targets[0].as_str())
-    {
+    if trace_out.is_some() && ["calibrate", "scenario", "matrix"].contains(&targets[0].as_str()) {
         eprintln!(
             "--trace is only valid with artifact targets (or `repro trace <artifact>`)\n{}",
             usage()
         );
-        return ExitCode::FAILURE;
-    }
-    if inject_solver_iters > 0 && targets[0] != "costgate" {
-        eprintln!("--inject-solver-iters is only valid with `repro costgate`");
         return ExitCode::FAILURE;
     }
     // `repro calibrate` — fit the cost model.
@@ -470,19 +419,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         return calibrate_cmd();
-    }
-    // `repro costgate` — deterministic timing gate (goldens + modeled
-    // cost expectations); red under an injected regression.
-    if targets[0] == "costgate" {
-        if targets.len() > 1 {
-            eprintln!(
-                "costgate takes no further targets (got {:?})\n{}",
-                &targets[1..],
-                usage()
-            );
-            return ExitCode::FAILURE;
-        }
-        return costgate_cmd(opts.jobs, inject_solver_iters);
     }
     // `repro scenario validate [DIR]` — the scenario-file linter.
     if targets[0] == "scenario" {

@@ -15,13 +15,12 @@
 //!
 //! `COST_MODEL.json` (repo root, embedded at compile time like the bench
 //! baselines) holds the fitted weights plus per-probe **expectations**:
-//! total modeled ns for a canonical probe set. `repro costgate` re-counts
-//! every probe against the checked-in expectations (±5%) and re-hashes
-//! the three timing artifacts against [`TIMING_GOLDENS`] — so an
-//! accidental extra solver iteration fails CI even though no wall clock
-//! was read.
+//! total modeled ns for a canonical probe set. Tier-1 checks modeled
+//! timing without reading a clock: `tests/golden.rs` pins the bytes of the
+//! three timing artifacts, and `tests/costgate.rs` re-counts every probe
+//! against its expectation ([`check_expectations`], ±5%).
 
-use crate::harness::{synthetic_controller_config, synthetic_observation, Opts, PolicyKind};
+use crate::harness::{synthetic_controller_config, synthetic_observation, PolicyKind};
 use fastcap_core::capper::FastCapController;
 use fastcap_core::cost::{CostCounter, OPS};
 use fastcap_core::error::{Error, Result};
@@ -43,28 +42,13 @@ pub const DECIDE_REPS: u32 = 8;
 /// full `F^N·M` grid; 3 is plenty for a deterministic count).
 pub const MAXBIPS_REPS: u32 = 3;
 
-/// Relative tolerance of the expectation gate: modeled cost drifting more
-/// than this from `COST_MODEL.json` fails `repro costgate`.
+/// Relative tolerance of the expectation check ([`check_expectations`]):
+/// a probe whose modeled cost drifts more than this from its
+/// `COST_MODEL.json` expectation fails tier-1 (`tests/costgate.rs`).
 pub const GATE_TOLERANCE: f64 = 0.05;
 
-/// Golden FNV-1a hashes of the modeled timing artifacts
-/// (`repro tab1 overhead scaling --quick --seed 42`, any `--jobs`).
-/// Shared between the golden byte-equality test and `repro costgate`.
-pub const TIMING_GOLDENS: &[(&str, u64)] = &[
-    ("overhead.csv", 0xf9da_6b83_c20f_b211),
-    ("overhead.json", 0xa2dd_622d_24da_314d),
-    ("scaling.csv", 0xa6fb_bf2c_3521_ad2e),
-    ("scaling.json", 0x0905_8471_132c_80cb),
-    ("tab1_fastcap.csv", 0x852e_a297_64e5_eb8e),
-    ("tab1_fastcap.json", 0x0441_b098_967b_e552),
-    ("tab1_maxbips.csv", 0xcca7_0008_739d_019d),
-    ("tab1_maxbips.json", 0xc0ba_2abe_6b6a_8cdf),
-    ("tab1_theory.csv", 0x411e_88d2_9d99_aef9),
-    ("tab1_theory.json", 0xb0cc_6af8_8345_085a),
-];
-
-/// FNV-1a, 64-bit — the repo's standard artifact fingerprint (same
-/// parameters as the golden test suite).
+/// FNV-1a, 64-bit — the repo's standard artifact fingerprint: the golden
+/// test suites pin artifact bytes with it and perfbench digests with it.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,23 +68,18 @@ pub struct CostWeights {
 
 impl CostWeights {
     /// Total modeled nanoseconds for a counter: the dot product of the
-    /// counts with the weights, accumulated in fixed [`OPS`] order so the
-    /// float result is bit-stable.
+    /// counts with the weights, accumulated in fixed [`OPS`] order
+    /// ([`CostCounter::priced_ns`]) so the float result is bit-stable.
     #[must_use]
     pub fn modeled_ns(&self, c: &CostCounter) -> f64 {
-        let counts = c.as_array();
-        let mut total = 0.0;
-        for (&count, &w) in counts.iter().zip(self.ns.iter()) {
-            total += count as f64 * w;
-        }
-        total
+        c.priced_ns(&self.ns)
     }
 }
 
 /// One checked-in expectation: the modeled cost of a canonical probe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expectation {
-    /// Probe name (must match a [`probe_specs`] / [`sim_probe`] label).
+    /// Probe name (must match an [`expectation_counters`] label).
     pub name: String,
     /// Expected total modeled ns at calibration time.
     pub total_ns: f64,
@@ -111,7 +90,7 @@ pub struct Expectation {
 pub struct CostModel {
     /// Fitted per-op weights.
     pub weights: CostWeights,
-    /// Canonical-probe expectations the cost gate checks against.
+    /// Canonical-probe expectations [`check_expectations`] compares with.
     pub expectations: Vec<Expectation>,
 }
 
@@ -215,8 +194,8 @@ impl CostModel {
 }
 
 /// The canonical decide-probe set: `(label, policy, n_cores, reps)`.
-/// Calibration fits weights from these probes' wall clocks; the cost gate
-/// re-counts them against the checked-in expectations; the timing
+/// Calibration fits weights from these probes' wall clocks; the
+/// expectation check re-counts them against `COST_MODEL.json`; the timing
 /// artifacts reuse the same counting protocol so everything stays in one
 /// currency.
 #[must_use]
@@ -264,6 +243,37 @@ fn probe_policy(kind: PolicyKind, n_cores: usize) -> Result<Box<dyn CappingPolic
     kind.build(cfg)
 }
 
+/// One canonical probe, set up and ready: calling it runs exactly the
+/// work its expectation counts and returns those counted operations. The
+/// counting path ([`expectation_counters`]) calls it bare; `repro
+/// calibrate` ([`wall_probes`]) times the same call.
+type Probe = Box<dyn FnOnce() -> Result<CostCounter>>;
+
+/// Runs `work` under the wall clock and returns its result with the
+/// elapsed ns — the only place the probes read the host clock.
+fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = work();
+    (out, start.elapsed().as_secs_f64() * 1e9)
+}
+
+/// Sets up one decide probe: the policy after a 3-decide warm-up (so
+/// fitter state is settled), whose call runs `reps` more decides.
+fn decide_probe(kind: PolicyKind, n_cores: usize, reps: u32) -> Result<Probe> {
+    let mut p = probe_policy(kind, n_cores)?;
+    let obs = synthetic_observation(n_cores);
+    for _ in 0..3 {
+        p.decide(&obs)?;
+    }
+    Ok(Box::new(move || {
+        let before = p.decision_cost();
+        for _ in 0..reps {
+            std::hint::black_box(p.decide(&obs)?);
+        }
+        Ok(p.decision_cost().delta_since(&before))
+    }))
+}
+
 /// Counts the decision-path operations of `reps` decides (after a
 /// 3-decide warm-up) for one probe. Pure counting — no clock is read —
 /// so the result is host-, jobs- and queue-invariant.
@@ -272,41 +282,7 @@ fn probe_policy(kind: PolicyKind, n_cores: usize) -> Result<Box<dyn CappingPolic
 ///
 /// Propagates policy construction / decide failures.
 pub fn decide_counter(kind: PolicyKind, n_cores: usize, reps: u32) -> Result<CostCounter> {
-    let mut p = probe_policy(kind, n_cores)?;
-    let obs = synthetic_observation(n_cores);
-    for _ in 0..3 {
-        p.decide(&obs)?;
-    }
-    let before = p.decision_cost();
-    for _ in 0..reps {
-        p.decide(&obs)?;
-    }
-    Ok(p.decision_cost().delta_since(&before))
-}
-
-/// Wall-clock twin of [`decide_counter`]: the same protocol with a timer
-/// around the measured reps. Returns `(counter, elapsed ns)`.
-///
-/// # Errors
-///
-/// Propagates policy construction / decide failures.
-pub fn decide_probe_wall(
-    kind: PolicyKind,
-    n_cores: usize,
-    reps: u32,
-) -> Result<(CostCounter, f64)> {
-    let mut p = probe_policy(kind, n_cores)?;
-    let obs = synthetic_observation(n_cores);
-    for _ in 0..3 {
-        p.decide(&obs)?;
-    }
-    let before = p.decision_cost();
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(p.decide(&obs)?);
-    }
-    let elapsed = start.elapsed().as_secs_f64() * 1e9;
-    Ok((p.decision_cost().delta_since(&before), elapsed))
+    decide_probe(kind, n_cores, reps)?()
 }
 
 /// Core counts of the solver-isolating probes. These call
@@ -314,45 +290,24 @@ pub fn decide_probe_wall(
 /// the `{solver_iter, bus_eval, quantize_op}` family is observed *without*
 /// `fitter_update` riding along — the decorrelation the NNLS fit needs to
 /// keep a nonzero solver weight (otherwise the dominant fitter term
-/// absorbs the whole decide() wall clock and an injected solver-iteration
-/// regression would be invisible to the gate).
+/// absorbs the whole decide() wall clock and a solver-iteration
+/// regression would price at 0 ns).
 pub const SOLVE_CORES: [usize; 5] = [16, 32, 64, 128, 256];
 
-/// Counts the solver-path operations of `reps` bare `solve_quantized`
-/// calls after one warm-up observe. Deterministic — no clock.
-///
-/// # Errors
-///
-/// Propagates controller construction / solve failures.
-pub fn solve_probe_counter(n_cores: usize, reps: u32) -> Result<CostCounter> {
+/// Sets up one solver-isolating probe: a controller after one warm-up
+/// observe, whose call runs `reps` bare `solve_quantized` calls.
+fn solve_probe(n_cores: usize, reps: u32) -> Result<Probe> {
     let mut ctl = FastCapController::new(synthetic_controller_config(n_cores, 0.6)?)?;
     let obs = synthetic_observation(n_cores);
     ctl.observe(&obs);
     let candidates = ctl.candidates().to_vec();
-    let before = ctl.cost();
-    for _ in 0..reps {
-        ctl.solve_quantized(&obs, &candidates)?;
-    }
-    Ok(ctl.cost().delta_since(&before))
-}
-
-/// Wall-clock twin of [`solve_probe_counter`].
-///
-/// # Errors
-///
-/// Propagates controller construction / solve failures.
-pub fn solve_probe_wall(n_cores: usize, reps: u32) -> Result<(CostCounter, f64)> {
-    let mut ctl = FastCapController::new(synthetic_controller_config(n_cores, 0.6)?)?;
-    let obs = synthetic_observation(n_cores);
-    ctl.observe(&obs);
-    let candidates = ctl.candidates().to_vec();
-    let before = ctl.cost();
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(ctl.solve_quantized(&obs, &candidates)?);
-    }
-    let elapsed = start.elapsed().as_secs_f64() * 1e9;
-    Ok((ctl.cost().delta_since(&before), elapsed))
+    Ok(Box::new(move || {
+        let before = ctl.cost();
+        for _ in 0..reps {
+            std::hint::black_box(ctl.solve_quantized(&obs, &candidates)?);
+        }
+        Ok(ctl.cost().delta_since(&before))
+    }))
 }
 
 /// Modeled microseconds per `decide()` for one probe: the counter of
@@ -373,56 +328,38 @@ pub fn modeled_decide_micros(kind: PolicyKind, n_cores: usize, reps: u32) -> Res
 /// dilation 200, seed 42) that anchors the event/RNG weights.
 pub const SIM_PROBE: &str = "sim/des/MIX1/16x20";
 
-/// Runs the DES probe and returns its queue/RNG operation counts.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn sim_probe_counter() -> Result<CostCounter> {
-    Ok(sim_probe_server()?.cost())
-}
-
-fn sim_probe_server() -> Result<Server> {
+/// Sets up the DES probe, whose call builds the server and runs it: both
+/// halves count queue/RNG operations, so both are measured.
+fn sim_probe() -> Result<Probe> {
     let cfg = SimConfig::ispass(16)?.with_time_dilation(200.0);
     let mix = mixes::by_name("MIX1").ok_or(Error::InvalidConfig {
         what: "sim probe",
         why: "mix MIX1 missing".into(),
     })?;
-    let mut server = Server::for_workload(cfg, &mix, 42)?;
-    server.run(20, |_| None);
-    Ok(server)
-}
-
-/// Wall-clock twin of [`sim_probe_counter`].
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn sim_probe_wall() -> Result<(CostCounter, f64)> {
-    let start = Instant::now();
-    let server = sim_probe_server()?;
-    let elapsed = start.elapsed().as_secs_f64() * 1e9;
-    Ok((server.cost(), elapsed))
+    Ok(Box::new(move || {
+        let mut server = Server::for_workload(cfg, &mix, 42)?;
+        server.run(20, |_| None);
+        Ok(server.cost())
+    }))
 }
 
 /// Wall-clock water-fill probe: `iters` exact breakpoint divisions over
 /// an 8-child node, isolating the `waterfill_pass` weight.
-#[must_use]
-pub fn waterfill_probe_wall(iters: u64) -> (CostCounter, f64) {
+fn waterfill_probe_wall(iters: u64) -> (CostCounter, f64) {
     let demand: Vec<f64> = (0..8).map(|i| 40.0 + 17.0 * i as f64).collect();
     let lo = vec![10.0; 8];
     let hi = vec![180.0; 8];
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(fastcap_fleet::divide(640.0, &demand, &lo, &hi));
-    }
-    let elapsed = start.elapsed().as_secs_f64() * 1e9;
+    let ((), ns) = timed(|| {
+        for _ in 0..iters {
+            std::hint::black_box(fastcap_fleet::divide(640.0, &demand, &lo, &hi));
+        }
+    });
     (
         CostCounter {
             waterfill_passes: iters,
             ..Default::default()
         },
-        elapsed,
+        ns,
     )
 }
 
@@ -432,19 +369,16 @@ pub fn waterfill_probe_wall(iters: u64) -> (CostCounter, f64) {
 /// probe those ops scale with epoch count exactly like the event-queue
 /// ops, so without this probe the fit collapses their weight into
 /// `event_push` and a lane-sync count regression would price at 0 ns.
-#[must_use]
-pub fn lane_probe_wall(rounds: u64) -> (CostCounter, f64) {
-    let start = Instant::now();
-    let (lane_syncs, barrier_waits) =
-        std::hint::black_box(fastcap_sim::lane_calibration_probe(rounds));
-    let elapsed = start.elapsed().as_secs_f64() * 1e9;
+fn lane_probe_wall(rounds: u64) -> (CostCounter, f64) {
+    let ((lane_syncs, barrier_waits), ns) =
+        timed(|| std::hint::black_box(fastcap_sim::lane_calibration_probe(rounds)));
     (
         CostCounter {
             lane_syncs,
             barrier_waits,
             ..Default::default()
         },
-        elapsed,
+        ns,
     )
 }
 
@@ -484,48 +418,51 @@ pub fn fit_weights(rows: &[(CostCounter, f64)]) -> CostWeights {
     CostWeights { ns: w }
 }
 
-/// All deterministic expectation probes — decide probes, solver-isolating
-/// probes, the DES probe — as `(name, counter)` rows. This is the probe
-/// set `repro costgate` checks and `repro calibrate` writes expectations
-/// for; the two must agree, so both call this.
+/// Sets up every expectation probe — decide probes, solver-isolating
+/// probes, the DES probe — in `COST_MODEL.json` order, handing each to
+/// `visit` with its name right after its set-up, so a timed call runs on
+/// the state its own set-up just warmed.
+fn for_each_probe(mut visit: impl FnMut(String, Probe) -> Result<()>) -> Result<()> {
+    for (name, kind, n, reps) in probe_specs() {
+        visit(name, decide_probe(kind, n, reps)?)?;
+    }
+    for n in SOLVE_CORES {
+        visit(format!("solve/FastCap/{n}"), solve_probe(n, DECIDE_REPS)?)?;
+    }
+    visit(SIM_PROBE.into(), sim_probe()?)
+}
+
+/// Every expectation probe's counted operations, as `(name, counter)`
+/// rows. [`check_expectations`] compares these with `COST_MODEL.json`
+/// (tier-1, `tests/costgate.rs`) and [`calibrate`] writes expectations
+/// for them. No clock is read.
 ///
 /// # Errors
 ///
 /// Propagates probe failures.
 pub fn expectation_counters() -> Result<Vec<(String, CostCounter)>> {
     let mut v = Vec::new();
-    for (name, kind, n, reps) in probe_specs() {
-        v.push((name, decide_counter(kind, n, reps)?));
-    }
-    for n in SOLVE_CORES {
-        v.push((
-            format!("solve/FastCap/{n}"),
-            solve_probe_counter(n, DECIDE_REPS)?,
-        ));
-    }
-    v.push((SIM_PROBE.into(), sim_probe_counter()?));
+    for_each_probe(|name, probe| {
+        v.push((name, probe()?));
+        Ok(())
+    })?;
     Ok(v)
 }
 
-/// The wall-clock probe matrix: every expectation probe re-run with a
-/// timer, plus the calibration-only water-fill probe. Returns
-/// `(name, counter, measured ns)` rows.
+/// The wall-clock probe matrix: every expectation probe timed over
+/// exactly the call it counts, plus the calibration-only water-fill and
+/// lane probes. Returns `(name, counter, measured ns)` rows.
 ///
 /// # Errors
 ///
 /// Propagates probe failures.
 pub fn wall_probes() -> Result<Vec<(String, CostCounter, f64)>> {
     let mut rows = Vec::new();
-    for (name, kind, n, reps) in probe_specs() {
-        let (c, ns) = decide_probe_wall(kind, n, reps)?;
-        rows.push((name, c, ns));
-    }
-    for n in SOLVE_CORES {
-        let (c, ns) = solve_probe_wall(n, DECIDE_REPS)?;
-        rows.push((format!("solve/FastCap/{n}"), c, ns));
-    }
-    let (c, ns) = sim_probe_wall()?;
-    rows.push((SIM_PROBE.into(), c, ns));
+    for_each_probe(|name, probe| {
+        let (c, ns) = timed(probe);
+        rows.push((name, c?, ns));
+        Ok(())
+    })?;
     let (c, ns) = waterfill_probe_wall(20_000);
     rows.push(("calib/waterfill".into(), c, ns));
     let (c, ns) = lane_probe_wall(2_000);
@@ -536,7 +473,8 @@ pub fn wall_probes() -> Result<Vec<(String, CostCounter, f64)>> {
 /// Runs the full wall-clock probe matrix and fits a fresh [`CostModel`]:
 /// the `repro calibrate` engine. Expectations are the *modeled* costs of
 /// the deterministic probes under the freshly fitted weights, so the
-/// gate's reference is exactly what a clean checkout reproduces.
+/// reference [`check_expectations`] compares with is exactly what a clean
+/// checkout reproduces.
 ///
 /// # Errors
 ///
@@ -560,58 +498,16 @@ pub fn calibrate() -> Result<CostModel> {
     })
 }
 
-/// Runs the cost gate: re-hash the three modeled timing artifacts against
-/// [`TIMING_GOLDENS`] (quick mode, seed 42) and re-count every canonical
-/// probe against the checked-in expectations (±[`GATE_TOLERANCE`]).
-/// Returns the failure messages (empty = gate green).
-///
-/// # Errors
-///
-/// Propagates artifact-run and probe failures (distinct from gate
-/// failures, which are returned).
-pub fn cost_gate(jobs: usize) -> Result<Vec<String>> {
-    let model = CostModel::embedded()?;
+/// Compares counted probes (normally [`expectation_counters`]) with
+/// `model`'s expectations. Returns one message per failure, naming its
+/// probe (empty = in tolerance and in sync): a probe whose modeled cost is
+/// more than ±[`GATE_TOLERANCE`] off its expectation, a probe without an
+/// expectation, and an expectation without a probe.
+#[must_use]
+pub fn check_expectations(model: &CostModel, probes: &[(String, CostCounter)]) -> Vec<String> {
     let mut failures = Vec::new();
-
-    // 1. Golden byte pins of the modeled artifacts. Per-process dir:
-    // concurrent gate runs (e.g. the integration tests) must not race.
-    let dir = std::env::temp_dir().join(format!("fastcap_costgate_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = Opts {
-        quick: true,
-        seed: 42,
-        jobs,
-        out_dir: dir.clone(),
-        ..Opts::default()
-    };
-    for id in ["tab1", "overhead", "scaling"] {
-        for t in crate::experiments::run(id, &opts)? {
-            t.write_to(&dir).map_err(|e| Error::InvalidConfig {
-                what: "costgate",
-                why: format!("write {}: {e}", t.id),
-            })?;
-        }
-    }
-    for &(name, want) in TIMING_GOLDENS {
-        let bytes = std::fs::read(dir.join(name)).map_err(|e| Error::InvalidConfig {
-            what: "costgate",
-            why: format!("missing artifact {name}: {e}"),
-        })?;
-        let have = fnv1a(&bytes);
-        if have != want {
-            failures.push(format!(
-                "{name}: bytes drifted from the golden hash (got {have:#018x}, want {want:#018x})"
-            ));
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // 2. Modeled-cost expectations.
-    let current: Vec<(String, f64)> = expectation_counters()?
-        .into_iter()
-        .map(|(name, c)| (name, model.weights.modeled_ns(&c)))
-        .collect();
-    for (name, now_ns) in &current {
+    for (name, c) in probes {
+        let now_ns = model.weights.modeled_ns(c);
         match model.expectations.iter().find(|e| &e.name == name) {
             None => failures.push(format!(
                 "{name}: no checked-in expectation — run `repro calibrate` and commit"
@@ -629,14 +525,14 @@ pub fn cost_gate(jobs: usize) -> Result<Vec<String>> {
         }
     }
     for e in &model.expectations {
-        if !current.iter().any(|(n, _)| n == &e.name) {
+        if !probes.iter().any(|(n, _)| n == &e.name) {
             failures.push(format!(
                 "{}: checked-in expectation has no matching probe — recalibrate",
                 e.name
             ));
         }
     }
-    Ok(failures)
+    failures
 }
 
 #[cfg(test)]
@@ -720,12 +616,12 @@ mod tests {
 
     #[test]
     fn sim_probe_counts_queue_work() {
-        let c = sim_probe_counter().unwrap();
+        let c = sim_probe().unwrap()().unwrap();
         assert!(c.event_pushes > 0 && c.event_pops > 0 && c.rng_draws > 0);
         assert!(
             c.lane_syncs > 0 && c.barrier_waits == 20,
             "the DES probe anchors the lane-sync weights: {c:?}"
         );
-        assert_eq!(c, sim_probe_counter().unwrap());
+        assert_eq!(c, sim_probe().unwrap()().unwrap());
     }
 }

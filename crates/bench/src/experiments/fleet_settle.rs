@@ -11,7 +11,7 @@
 //! breadth in one artifact.
 
 use crate::fleet_support::{fleet_spec, run_analytic_fleet, settled_mean, FLEET_SEED_STREAM};
-use crate::harness::Opts;
+use crate::harness::{settle_epochs, Opts, SETTLE_TOLERANCE};
 use crate::sweep::{derive_seed, Sweep};
 use crate::table::{f2, f3, ResultTable};
 use fastcap_core::error::{Error, Result};
@@ -32,9 +32,6 @@ const PER_RACK: usize = 16;
 const N_CORES: usize = 16;
 /// Budget fraction in force at epoch 0.
 const INITIAL_BUDGET: f64 = 0.85;
-/// Settling tolerance: fleet power within 2% above the committed root
-/// allocation counts as settled.
-const TOLERANCE: f64 = 0.02;
 /// Racks/servers-per-rack of each population member (kept small: the
 /// population is breadth, not depth).
 const POP_RACKS: usize = 4;
@@ -181,7 +178,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
             scenario.name,
             spec.n_leaves(),
             INITIAL_BUDGET * 100.0,
-            TOLERANCE * 100.0
+            SETTLE_TOLERANCE * 100.0
         ),
         &[
             "phase",
@@ -195,10 +192,8 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
     for &(start, end, ref label) in &phases {
         let window =
             &scripted.epochs[start.min(scripted.epochs.len())..end.min(scripted.epochs.len())];
-        let settle = window
-            .iter()
-            .rposition(|e| e.power_w > e.committed_w * (1.0 + TOLERANCE))
-            .map_or(0, |i| i + 1);
+        // Each epoch is held to its own committed root allocation.
+        let settle = settle_epochs(window, |e| (e.power_w, e.committed_w));
         let (worst, tail, online) = window_stats(&scripted, start, end);
         settle_t.push_row(vec![
             label.clone(),

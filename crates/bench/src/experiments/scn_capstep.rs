@@ -8,7 +8,9 @@
 //! transient overshoot on the way down — the capping-quality axis no
 //! static artifact covers.
 
-use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
+use crate::harness::{
+    over_cap, resolve_scenario, run_scenario, settle_epochs, Opts, PolicyKind, ScnArtifactSpec,
+};
 use crate::sweep::Sweep;
 use crate::table::{f3, pct, ResultTable};
 use fastcap_core::error::Result;
@@ -23,9 +25,6 @@ pub const SPEC: ScnArtifactSpec = ScnArtifactSpec {
     initial_budget: 0.9,
     mix: "MID1",
 };
-
-/// Settling tolerance: power within 2% above the cap counts as settled.
-const TOLERANCE: f64 = 0.02;
 
 /// Runs the experiment. Sweep: one point per policy on a **shared** RNG
 /// stream, so every policy caps the same sampled MID1 trace through the
@@ -85,21 +84,13 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
                 .iter()
                 .map(|e| e.total_power.get())
                 .collect();
-            // Settled once every remaining epoch is within tolerance: the
-            // settle time is one past the last violating epoch.
-            let settle = window
-                .iter()
-                .rposition(|&p| p > budget * (1.0 + TOLERANCE))
-                .map_or(0, |i| i + 1);
+            let settle = settle_epochs(&window, |&p| (p, budget));
             let worst = window
                 .iter()
                 .map(|&p| (p - budget) / budget)
                 .fold(0.0f64, f64::max);
             let avg = window.iter().sum::<f64>() / window.len().max(1) as f64 / budget;
-            let violations = window
-                .iter()
-                .filter(|&&p| p > budget * (1.0 + TOLERANCE))
-                .count();
+            let violations = window.iter().filter(|&&p| over_cap(p, budget)).count();
             t.push_row(vec![
                 kind.name().to_string(),
                 settle.to_string(),

@@ -8,7 +8,9 @@
 //! machine budget onto 12 cores, and how badly it overshoots when 4 cold
 //! cores return.
 
-use crate::harness::{resolve_scenario, run_scenario, Opts, PolicyKind, ScnArtifactSpec};
+use crate::harness::{
+    resolve_scenario, run_scenario, settle_epochs, Opts, PolicyKind, ScnArtifactSpec,
+};
 use crate::sweep::Sweep;
 use crate::table::{f3, pct, ResultTable};
 use fastcap_core::error::Result;
@@ -27,9 +29,6 @@ pub const SPEC: ScnArtifactSpec = ScnArtifactSpec {
 /// Re-balance target: the policy has re-concentrated the budget once
 /// epoch power is back above this fraction of the cap.
 const REBALANCE_TARGET: f64 = 0.95;
-
-/// Violation tolerance above the cap.
-const TOLERANCE: f64 = 0.02;
 
 /// Runs the experiment. Sweep: one point per policy on a **shared** RNG
 /// stream (every policy loses and regains the same four cores of the same
@@ -108,10 +107,7 @@ pub fn run(opts: &Opts) -> Result<Vec<ResultTable>> {
             .iter()
             .map(|&p| (p - budget) / budget)
             .fold(0.0f64, f64::max);
-        let settle = ret
-            .iter()
-            .rposition(|&p| p > budget * (1.0 + TOLERANCE))
-            .map_or(0, |i| i + 1);
+        let settle = settle_epochs(&ret, |&p| (p, budget));
         t.push_row(vec![
             kind.name().to_string(),
             rebalance.to_string(),

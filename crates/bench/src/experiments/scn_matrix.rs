@@ -17,7 +17,7 @@
 //! byte-identical at any `--jobs` value (pinned by
 //! `crates/bench/tests/matrix_cli.rs`).
 
-use crate::harness::{run_scenario, Opts, PolicyKind};
+use crate::harness::{run_scenario, settle_epochs, Opts, PolicyKind};
 use crate::sweep::{derive_seed, Sweep};
 use crate::table::{f3, pct, ResultTable};
 use fastcap_core::error::{Error, Result};
@@ -28,9 +28,6 @@ use fastcap_workloads::mixes;
 /// Budget fraction in force at epoch 0 of every cell (generated budget
 /// events step away from it and back).
 const INITIAL_BUDGET: f64 = 0.8;
-
-/// Settle-metric tolerance above the cap (matches `scn_capstep`).
-const TOLERANCE: f64 = 0.02;
 
 /// Reserved `derive_seed` stream base for scenario generation — far above
 /// any cell stream index, so generator seeds never collide with sweep
@@ -140,10 +137,9 @@ fn cell_metrics(
         .last()
         .map_or(warmup, |&(e, _)| (e as usize).min(epochs));
     let final_cap = budgets.last().copied().unwrap_or(INITIAL_BUDGET) * peak;
-    let settle = run.epochs[tail_start..]
-        .iter()
-        .rposition(|ep| ep.total_power.get() > final_cap * (1.0 + TOLERANCE))
-        .map_or(0, |i| i + 1);
+    let settle = settle_epochs(&run.epochs[tail_start..], |ep| {
+        (ep.total_power.get(), final_cap)
+    });
 
     // Worst overshoot vs the budget in force, anywhere past the warm-up.
     let worst_overshoot = run

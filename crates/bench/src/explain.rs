@@ -5,8 +5,8 @@
 //! prints the per-epoch **decision audit trail** (in-force budget,
 //! solver iterations, candidate count, chosen frequency vector,
 //! predicted vs measured power, slack, modeled decide latency) around
-//! each oracle violation — or, for a green run, around the scenario's
-//! first budget or hotplug move so the settle transient is still
+//! each oracle violation — or, for a green run, around every budget and
+//! hotplug move of the scenario so each settle transient is still
 //! explained.
 //!
 //! Everything here is deterministic: the runs use the same derived seed
@@ -31,7 +31,7 @@ pub const SCN_ARTIFACTS: [ScnArtifactSpec; 3] =
 /// "K epochs around it" trail).
 const CONTEXT_EPOCHS: u64 = 3;
 
-/// Post-move epochs printed for a green run (covers the settle window).
+/// Post-move epochs printed for a green run (covers each settle window).
 const SETTLE_EPOCHS: u64 = 8;
 
 /// Ring capacity for explain runs: large enough that a full-length run's
@@ -56,9 +56,10 @@ fn fmt_opt_w(v: Option<f64>) -> String {
 }
 
 /// The epochs worth printing: a ±[`CONTEXT_EPOCHS`] window around every
-/// violation epoch, or (green run) around the first budget or hotplug
-/// move plus its settle window.
-fn focus_epochs(violations: &[u64], first_move: Option<u64>, epochs: u64) -> BTreeSet<u64> {
+/// violation epoch, or (green run) a window from [`CONTEXT_EPOCHS`] before
+/// every budget or hotplug move to the end of its settle window.
+/// Overlapping windows merge.
+fn focus_epochs(violations: &[u64], moves: &[u64], epochs: u64) -> BTreeSet<u64> {
     let mut focus = BTreeSet::new();
     let mut widen = |center: u64, after: u64| {
         let lo = center.saturating_sub(CONTEXT_EPOCHS);
@@ -66,7 +67,7 @@ fn focus_epochs(violations: &[u64], first_move: Option<u64>, epochs: u64) -> BTr
         focus.extend(lo..=hi);
     };
     if violations.is_empty() {
-        if let Some(m) = first_move {
+        for &m in moves {
             widen(m, SETTLE_EPOCHS);
         }
     } else {
@@ -188,13 +189,12 @@ pub fn run_explain(artifact: &str, opts: &Opts) -> Result<ExplainReport> {
     let mut base_srv = Server::for_workload(cfg.clone(), &mix, seed)?;
     runner.install(&mut base_srv)?;
     let base = runner.run(&mut base_srv, epochs, None)?;
-    let first_move = [
-        runner.budget_moves().first().map(|&(e, _)| e),
-        runner.mask_moves().first().map(|&(e, _)| e),
-    ]
-    .into_iter()
-    .flatten()
-    .min();
+    let moves: Vec<u64> = runner
+        .budget_moves()
+        .iter()
+        .map(|&(e, _)| e)
+        .chain(runner.mask_moves().iter().map(|&(e, _)| e))
+        .collect();
 
     let mut all_green = true;
     for kind in PolicyKind::SCENARIO_SET {
@@ -230,7 +230,7 @@ pub fn run_explain(artifact: &str, opts: &Opts) -> Result<ExplainReport> {
         }
 
         let violation_epochs: Vec<u64> = report.violations.iter().filter_map(|v| v.epoch).collect();
-        let focus = focus_epochs(&violation_epochs, first_move, epochs as u64);
+        let focus = focus_epochs(&violation_epochs, &moves, epochs as u64);
         if focus.is_empty() {
             let _ = writeln!(
                 out,
@@ -279,16 +279,29 @@ mod tests {
     #[test]
     fn focus_windows_center_on_violations_or_the_first_move() {
         // Violations win: window is ±CONTEXT_EPOCHS, clamped to the run.
-        let f = focus_epochs(&[5], Some(16), 40);
+        let f = focus_epochs(&[5], &[16], 40);
         assert_eq!(
             f.iter().copied().collect::<Vec<_>>(),
             (2..=8).collect::<Vec<_>>()
         );
-        // Green: the first move plus the settle window.
-        let f = focus_epochs(&[], Some(16), 40);
+        // Green: every move plus its settle window, merged where they
+        // overlap.
+        let f = focus_epochs(&[], &[16], 40);
         assert!(f.contains(&13) && f.contains(&24) && !f.contains(&12));
-        // Clamped at both ends.
-        let f = focus_epochs(&[0, 39], None, 40);
+        let f = focus_epochs(&[], &[28, 14, 20], 40);
+        assert_eq!(
+            f.iter().copied().collect::<Vec<_>>(),
+            (11..=36).collect::<Vec<_>>()
+        );
+        // Apart, each move keeps its own window; the last one is clamped
+        // to the run.
+        let f = focus_epochs(&[], &[14, 34], 40);
+        assert_eq!(
+            f.iter().copied().collect::<Vec<_>>(),
+            (11..=22).chain(31..=39).collect::<Vec<_>>()
+        );
+        // Violations clamped at both ends.
+        let f = focus_epochs(&[0, 39], &[], 40);
         assert!(f.contains(&0) && f.contains(&39) && !f.contains(&40));
     }
 
@@ -312,10 +325,14 @@ mod tests {
             .find(|s| s.starts_with("Freq-Par"))
             .expect("a Freq-Par section");
         assert!(freq_par.contains("decision trail"), "{freq_par}");
-        assert!(
-            freq_par.contains("| *hotplug: online=12/16* |"),
-            "{freq_par}"
-        );
+        // Both moves are trailed: the cores leaving at epoch 14 and
+        // returning at epoch 28.
+        for row in [
+            "| 14 | *hotplug: online=12/16* |",
+            "| 28 | *hotplug: online=16/16* |",
+        ] {
+            assert!(freq_par.contains(row), "{row} missing:\n{freq_par}");
+        }
     }
 
     #[test]

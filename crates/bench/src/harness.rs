@@ -1,9 +1,9 @@
 //! Shared experiment machinery: baseline/capped run pairs over the
-//! [`PolicyKind`] registry (re-exported here), scenario runs, and
-//! observation synthesis for the algorithm-only probes (Table I,
-//! `overhead`, the cost-model probes). The sweep execution engine that
-//! shards these runs across `--jobs` worker threads lives in
-//! [`crate::sweep`].
+//! [`PolicyKind`] registry (re-exported here), scenario runs, the settle
+//! rule of the transient artifacts, and observation synthesis for the
+//! algorithm-only probes (Table I, `overhead`, the cost-model probes).
+//! The sweep execution engine that shards these runs across `--jobs`
+//! worker threads lives in [`crate::sweep`].
 
 use fastcap_core::capper::FastCapConfig;
 use fastcap_core::counters::{CoreSample, EpochObservation, MemorySample};
@@ -260,6 +260,29 @@ pub fn run_scenario(
             result
         }
     }
+}
+
+/// Settling tolerance of the transient artifacts (`scn_capstep`,
+/// `scn_hotplug`, `scn_matrix`, `fleet_settle`): power within 2 % above
+/// the cap counts as settled.
+pub(crate) const SETTLE_TOLERANCE: f64 = 0.02;
+
+/// Whether `power` sits above `cap` by more than [`SETTLE_TOLERANCE`].
+pub(crate) fn over_cap(power: f64, cap: f64) -> bool {
+    power > cap * (1.0 + SETTLE_TOLERANCE)
+}
+
+/// Settle epochs of a window: one past the last epoch whose power is
+/// [`over_cap`], or 0 when none is. `power_and_cap` reads each epoch's
+/// power and the cap in force over it.
+pub(crate) fn settle_epochs<T>(window: &[T], power_and_cap: impl Fn(&T) -> (f64, f64)) -> usize {
+    window
+        .iter()
+        .rposition(|e| {
+            let (power, cap) = power_and_cap(e);
+            over_cap(power, cap)
+        })
+        .map_or(0, |i| i + 1)
 }
 
 /// Pools per-application degradations from several runs and returns

@@ -13,6 +13,7 @@
 //!    sweeps (surface recording, tier fleets, DES replays, the generated
 //!    scenario population) may never leak scheduling into bytes.
 
+use fastcap_bench::costmodel::fnv1a;
 use fastcap_bench::harness::{run_capped_only, Opts, PolicyKind};
 use fastcap_bench::sweep::derive_seed;
 use fastcap_fleet::{DesModel, Fleet, LeafSpec, TreeSpec};
@@ -21,16 +22,6 @@ use fastcap_workloads::mixes;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
-
-/// FNV-1a, 64-bit: tiny, dependency-free, stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The golden hashes of the fleet artifacts (quick mode, seed 42),
 /// re-pinned with the loose-cap bias fix (DESIGN.md §13): the leaf

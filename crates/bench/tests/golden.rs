@@ -19,23 +19,13 @@
 //! artifacts (`tab1`, `overhead`, `scaling`) are pinned too: their
 //! latency columns are operation counts priced by the checked-in
 //! `COST_MODEL.json`, not wall-clock, so they obey the same byte contract
-//! as everything else. Their pins live in
-//! `fastcap_bench::costmodel::TIMING_GOLDENS` (shared with `repro
-//! costgate`).
+//! as everything else. Their pins are `TIMING_GOLDENS` below;
+//! `costgate.rs` checks the probe counts behind them.
 
+use fastcap_bench::costmodel::fnv1a;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
-
-/// FNV-1a, 64-bit: tiny, dependency-free, stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The golden hashes, re-pinned when the loose-cap bias fix (DESIGN.md
 /// §13: quantize-down actuation, slack-feedback trim, fitter sample
@@ -78,6 +68,21 @@ const GOLDEN: &[(&str, u64)] = &[
     ("scn_hotplug.json", 0x494e_30ea_a288_d2e9),
     ("scn_hotplug_trace.csv", 0x9a1e_02cd_1776_5dc6),
     ("scn_hotplug_trace.json", 0xd386_51b5_674d_6ca6),
+];
+
+/// Golden FNV-1a hashes of the modeled timing artifacts
+/// (`repro tab1 overhead scaling --quick --seed 42`, any `--jobs`).
+const TIMING_GOLDENS: &[(&str, u64)] = &[
+    ("overhead.csv", 0xf9da_6b83_c20f_b211),
+    ("overhead.json", 0xa2dd_622d_24da_314d),
+    ("scaling.csv", 0xa6fb_bf2c_3521_ad2e),
+    ("scaling.json", 0x0905_8471_132c_80cb),
+    ("tab1_fastcap.csv", 0x852e_a297_64e5_eb8e),
+    ("tab1_fastcap.json", 0x0441_b098_967b_e552),
+    ("tab1_maxbips.csv", 0xcca7_0008_739d_019d),
+    ("tab1_maxbips.json", 0xc0ba_2abe_6b6a_8cdf),
+    ("tab1_theory.csv", 0x411e_88d2_9d99_aef9),
+    ("tab1_theory.json", 0xb0cc_6af8_8345_085a),
 ];
 
 fn run_repro(args: &[&str]) {
@@ -139,14 +144,13 @@ fn fig5_and_fig12_13_bytes_are_pinned_at_any_job_and_lane_count() {
     );
 
     let got = &per_cell[0];
-    let timing = fastcap_bench::costmodel::TIMING_GOLDENS;
     assert_eq!(
         got.len(),
-        GOLDEN.len() + timing.len(),
+        GOLDEN.len() + TIMING_GOLDENS.len(),
         "artifact set changed: {:?}",
         got.keys().collect::<Vec<_>>()
     );
-    for &(name, want) in GOLDEN.iter().chain(timing) {
+    for &(name, want) in GOLDEN.iter().chain(TIMING_GOLDENS) {
         let have = got
             .get(name)
             .unwrap_or_else(|| panic!("missing artifact {name}"));

@@ -54,11 +54,14 @@ fn bad_matrix_input_exits_nonzero_with_usage() {
         &["fig3", "--count", "2"][..],
         &["scenario", "validate", "--count", "2"][..],
         &["matrix", "--scenario", "scenarios/scn_capstep.json"][..],
-        // Removed flags: host timing lives in perfbench, not in repro, and
-        // `--jobs` is the only thread knob.
+        // Removed flags and subcommands: host timing lives in perfbench,
+        // not in repro, `--jobs` is the only thread knob, and the timing
+        // check runs in the tier-1 tests.
         &["tab1", "--wall-clock"][..],
         &["calibrate", "--check"][..],
         &["fig3", "--lanes", "2"][..],
+        &["costgate"][..],
+        &["costgate", "--inject-solver-iters", "1"][..],
     ] {
         let out = run_repro(args);
         assert_eq!(

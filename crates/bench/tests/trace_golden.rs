@@ -17,19 +17,10 @@
 //! assertion in `golden.rs` runs over its own dirs, which never see a
 //! `--trace` flag.
 
+use fastcap_bench::costmodel::fnv1a;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
-
-/// FNV-1a, 64-bit: tiny, dependency-free, stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Golden FNV-1a hashes of the Chrome-trace JSON emitted by
 /// `repro trace <artifact> --quick --seed 42`. Pinned at the same seed

@@ -143,9 +143,9 @@ impl CostCounter {
     ///
     /// This is the canonical modeled-clock evaluation: the accumulation
     /// order is part of the determinism contract (f64 addition is not
-    /// associative), so every consumer — the timing tables, the cost
-    /// gate, trace timestamps — must price through this one function to
-    /// agree bit-for-bit.
+    /// associative), so every consumer — the timing tables, the
+    /// expectation check, trace timestamps — must price through this one
+    /// function to agree bit-for-bit.
     #[must_use]
     pub fn priced_ns(&self, ns: &[f64; OPS.len()]) -> f64 {
         self.as_array()

@@ -15,7 +15,7 @@
 //!   run loop an `Option<&mut Tracer>`; every loop checks it once per
 //!   epoch. Nothing in this crate touches a `CostCounter` — trace work is
 //!   never part of the modeled cost, so arming a tracer cannot move
-//!   artifact bytes or trip `repro costgate`.
+//!   artifact bytes, modeled timing included.
 //! - **Read-only probes.** Emitters only read state the run loop already
 //!   has (cost counters, decisions, epoch reports); they never mutate
 //!   simulation state or draw randomness.
